@@ -15,6 +15,7 @@ variable caps worker threads for data preparation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -25,6 +26,7 @@ from dataclasses import asdict
 from datetime import datetime, timezone
 
 from . import corpus, decoding, genmetrics, qaeval, textproc, training
+from . import numerics as nm
 from .model import BertPgn, ModelConfig
 from .qaeval import AnnotationRecord, JointQaScorer, LexicalOverlapScorer
 
@@ -101,6 +103,20 @@ def _setting(args: argparse.Namespace, name: str, default):
     if value is not None:
         return value
     return args._file_config.get(name, default)
+
+
+@contextlib.contextmanager
+def _replaced_on_success(path: str):
+    """A text file to write `path` through: it takes `path`'s place only if
+    the block completes, so a failure leaves no partial output."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _read_jsonl(path: str) -> list[dict]:
@@ -250,6 +266,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    t0 = time.monotonic()
     vocab = textproc.load_vocab(args.vocab)
     model = BertPgn.from_checkpoint(args.checkpoint)
     if model.config.vocab_size != len(vocab):
@@ -264,9 +281,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
     temperature = _setting(args, "temperature", decoding.DEFAULT_TEMPERATURE)
     seed = _setting(args, "seed", 0)
 
-    with open(args.output, "w", encoding="utf-8") as out:
+    reached_eos = 0
+    with _replaced_on_success(args.output) as out:
         for ex in examples:
-            enc = model.encode_context(ex.context_ids, ex.type_ids)
+            with nm.no_grad():
+                enc = model.encode_context(ex.context_ids, ex.type_ids)
             if args.mode == "beam":
                 hyp = decoding.beam_search(
                     model, enc, beam=beam, max_len=max_len,
@@ -279,6 +298,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 )
             else:
                 hyp = decoding.greedy(model, enc, max_len=max_len)
+            reached_eos += hyp.finished
             out.write(
                 json.dumps(
                     {
@@ -297,7 +317,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         settings={
             "mode": args.mode, "beam": beam, "top_p": top_p,
             "temperature": temperature, "max_question": max_len,
+            "reached_eos": reached_eos,
         },
+        wall_seconds=time.monotonic() - t0,
     )
     return EXIT_OK
 

@@ -1,10 +1,15 @@
 """Search and sampling strategies over a next-token-distribution model.
 
-All three strategies speak to the model through one protocol: an object with
-`vocab_size` and `next_distribution(context, prefix_ids) -> (V,) probabilities`.
-Prefixes always start with BOS; a hypothesis finishes by emitting EOS.
-Every tie anywhere breaks toward the lowest token id, so decoding is a pure
-function of (model, context, arguments).
+All three strategies speak to the model through one batched protocol: an
+object with `vocab_size` and
+`next_distributions(context, prefixes) -> (B, V) probabilities`, one row per
+prefix. Beam search asks for all live hypotheses in one call; greedy and
+nucleus sampling pass one prefix. The prefixes of one call have equal length,
+and each step's prefixes extend the previous step's, which lets a model keep
+per-prefix state on the context between calls (`BertPgn` caches attention
+keys and values there). Prefixes always start with BOS; a hypothesis finishes
+by emitting EOS. Every tie anywhere breaks toward the lowest token id, so
+decoding is a pure function of (model, context, arguments).
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ def greedy(model, context, max_len: int = 50) -> Hypothesis:
         raise InvalidDecodeConfig(f"max_len must be >= 0, got {max_len}")
     hyp = Hypothesis()
     for _ in range(max_len):
-        dist = model.next_distribution(context, hyp.ids)
+        dist = model.next_distributions(context, [hyp.ids])[0]
         tok = _argmax_lowest(dist)
         with np.errstate(divide="ignore"):
             hyp.logprob += float(np.log(dist[tok]))
@@ -79,18 +84,15 @@ def beam_search(
     for _ in range(max_len):
         if not live:
             break
-        candidates: list[tuple[float, int, int]] = []
-        for parent_idx, hyp in enumerate(live):
-            dist = model.next_distribution(context, hyp.ids)
-            with np.errstate(divide="ignore"):
-                logp = np.log(dist)
-            for tok in range(len(dist)):
-                candidates.append((hyp.logprob + float(logp[tok]), parent_idx, tok))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        dists = model.next_distributions(context, [h.ids for h in live])
+        with np.errstate(divide="ignore"):
+            scores = np.array([h.logprob for h in live])[:, None] + np.log(dists)
         next_live: list[Hypothesis] = []
-        for score, parent_idx, tok in candidates[:beam]:
+        for flat in _top_candidates(scores.ravel(), beam):
+            score = float(scores.flat[flat])
             if score == -np.inf:
                 continue
+            parent_idx, tok = divmod(int(flat), scores.shape[1])
             parent = live[parent_idx]
             child = Hypothesis(parent.ids + [tok], score, tok == EOS_ID)
             (finished if child.finished else next_live).append(child)
@@ -104,6 +106,19 @@ def beam_search(
     )
     pool.sort(key=rank)
     return pool
+
+
+def _top_candidates(scores: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices (parent * V + token) of the k best of the flattened
+    (B, V) scores, ordered by (-score, parent, token)."""
+    neg = -scores
+    if k < neg.size:
+        # Every candidate that can rank in the first k, ties at the cut included.
+        kth = np.partition(neg, k - 1)[k - 1]
+        pool = np.flatnonzero(neg <= kth)
+    else:
+        pool = np.arange(neg.size)
+    return pool[np.lexsort((pool, neg[pool]))][:k]
 
 
 def sample_step(
@@ -150,7 +165,7 @@ def nucleus_sample(
     rng = np.random.default_rng(seed)
     hyp = Hypothesis()
     for _ in range(max_len):
-        dist = model.next_distribution(context, hyp.ids)
+        dist = model.next_distributions(context, [hyp.ids])[0]
         tok = sample_step(dist, top_p, temperature, rng)
         with np.errstate(divide="ignore"):
             hyp.logprob += float(np.log(dist[tok]))

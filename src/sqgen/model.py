@@ -16,6 +16,14 @@ vocabulary softmax with a copy distribution read off the final cross
 block's attention weights averaged over heads. Sharing one subword
 vocabulary between encoder and decoder is what lets the copy mass land on
 real output token ids.
+
+Training and inference share one decoder function, `BertPgn._decoder`, which
+runs T new positions on top of the self-attention keys and values of the
+positions before them. Training runs the whole prefix with nothing before it.
+Inference runs one new position per prefix for a batch of prefixes, reusing
+the keys and values cached on the `EncodedContext` (Shazeer 2019, arXiv
+1911.02150), and only that position pays for the output projection, the
+softmax and the pointer mixture.
 """
 
 from __future__ import annotations
@@ -91,21 +99,42 @@ class ModelConfig:
 
 @dataclass
 class EncodedContext:
+    """One context's encoder states and what decoding reuses across steps.
+
+    `cross_kv` holds the keys and values of `h` for every cross block,
+    projected once. `self_kv` maps each prefix of the last decode step to the
+    self-attention (k, v) heads, (H, T, dh) each, of every decoder layer over
+    its T positions; the next step reads each prefix's parent from it.
+    """
+
     h: Tensor
     context_ids: np.ndarray
+    cross_kv: list[tuple[Tensor, Tensor]]
+    self_kv: dict[tuple[int, ...], list[tuple[np.ndarray, np.ndarray]]] = field(
+        default_factory=dict
+    )
 
 
 @dataclass
 class DecoderStepOutput:
-    """Everything the final decode position produced, as plain arrays."""
+    """What the new decode position produced for each of B prefixes, as plain
+    arrays with one row per prefix."""
 
-    a_s: np.ndarray
-    a_c: np.ndarray
-    o: np.ndarray
-    p_gen: float
-    vocab_dist: np.ndarray
-    copy_attn: np.ndarray
-    final_dist: np.ndarray
+    a_c: np.ndarray  # (B, d)
+    p_gen: np.ndarray  # (B,)
+    vocab_dist: np.ndarray  # (B, V)
+    copy_attn: np.ndarray  # (B, L)
+    final_dist: np.ndarray  # (B, V)
+
+    def row(self, i: int) -> "DecoderStepOutput":
+        """Prefix i's fields alone: 1-D arrays and a float p_gen."""
+        return DecoderStepOutput(
+            a_c=self.a_c[i],
+            p_gen=float(self.p_gen[i]),
+            vocab_dist=self.vocab_dist[i],
+            copy_attn=self.copy_attn[i],
+            final_dist=self.final_dist[i],
+        )
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
@@ -175,13 +204,19 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     return params
 
 
-def _mha(params: Mapping[str, Tensor], prefix: str, q, k, v, n_heads, mask=None):
+def _self_attention(params, prefix: str, x: Tensor, n_heads: int, mask=None, past=None):
+    """Attention of x's positions (..., T, d) over the `past` (k, v) heads
+    and their own. Returns the output and the (k, v) heads of all positions,
+    which a later call can take as its past."""
     p = lambda name: params[f"{prefix}.{name}"]
-    return nm.multi_head_attention(
-        q, k, v,
-        p("wq"), p("bq"), p("wk"), p("bk"), p("wv"), p("bv"), p("wo"), p("bo"),
-        n_heads=n_heads, mask=mask,
-    )
+    q = nm.project_heads(x, p("wq"), p("bq"), n_heads)
+    k = nm.project_heads(x, p("wk"), p("bk"), n_heads)
+    v = nm.project_heads(x, p("wv"), p("bv"), n_heads)
+    if past is not None:
+        k = nm.concat([past[0], k], axis=-2)
+        v = nm.concat([past[1], v], axis=-2)
+    out, _ = nm.attend(q, k, v, p("wo"), p("bo"), mask)
+    return out, (k, v)
 
 
 def _ffn(params: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -189,11 +224,13 @@ def _ffn(params: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
     return nm.linear(h, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
 
 
-def _block(params, prefix: str, x: Tensor, n_heads: int, mask=None) -> Tensor:
-    a, _ = _mha(params, f"{prefix}.attn", x, x, x, n_heads, mask)
+def _block(params, prefix: str, x: Tensor, n_heads: int, mask=None, past=None):
+    """Post-norm transformer block; returns its output and the (k, v) heads
+    of its self-attention."""
+    a, kv = _self_attention(params, f"{prefix}.attn", x, n_heads, mask, past)
     h = nm.layer_norm(a + x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     f = _ffn(params, f"{prefix}.ffn", h)
-    return nm.layer_norm(f + h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+    return nm.layer_norm(f + h, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"]), kv
 
 
 class BertPgn:
@@ -241,99 +278,147 @@ class BertPgn:
     def encode(self, embedded: Tensor) -> Tensor:
         x = embedded
         for i in range(self.config.encoder_layers):
-            x = _block(self.params, f"enc.b{i}", x, self.config.n_heads)
+            x, _ = _block(self.params, f"enc.b{i}", x, self.config.n_heads)
         return x
 
     def encode_context(self, context_ids, type_ids) -> EncodedContext:
         h = self.encode(self.embed_inputs(context_ids, type_ids))
-        return EncodedContext(h=h, context_ids=np.asarray(context_ids, dtype=np.intp))
+        heads = lambda w, b: nm.project_heads(
+            h, self.params[w], self.params[b], self.config.n_heads
+        )
+        cross_kv = [
+            (heads(f"cross.b{i}.xattn.wk", f"cross.b{i}.xattn.bk"),
+             heads(f"cross.b{i}.xattn.wv", f"cross.b{i}.xattn.bv"))
+            for i in range(self.config.cross_layers)
+        ]
+        return EncodedContext(
+            h=h, context_ids=np.asarray(context_ids, dtype=np.intp), cross_kv=cross_kv
+        )
 
     # -- decoder ---------------------------------------------------------
 
-    def _decoder_trace(self, prefix_ids, h_enc: Tensor):
-        """Run the full decoder over a prefix; returns per-position tensors
-        (y_lm, a_s, a_c, o of the final cross block, and its attention)."""
-        ids = np.asarray(prefix_ids, dtype=np.intp)
-        t = ids.size
+    def _check_prefix_length(self, t: int) -> None:
         if t == 0:
             raise ConfigError("decoder prefix must start with BOS")
         if t > self.config.max_question + 1:
             raise QuestionTooLong(
                 f"prefix of {t} exceeds max_question+1={self.config.max_question + 1}"
             )
+
+    def _decoder(self, ids: np.ndarray, enc: EncodedContext, past: list | None = None):
+        """Run the decoder over new tokens `ids` (..., T) that follow P earlier
+        positions, whose self-attention (k, v) heads `past` holds for every
+        decoder layer in order (None when P = 0).
+
+        Returns, for the new positions, the LM stack's output y, the final
+        cross block's attention output a_c and output o, its attention
+        averaged over heads (the copy distribution, (..., T, L)), and every
+        layer's (k, v) heads over all P + T positions.
+        """
+        t = ids.shape[-1]
+        p0 = 0 if past is None else past[0][0].shape[-2]
+        self._check_prefix_length(p0 + t)
+        n_heads = self.config.n_heads
+        layer_past = iter(past or [])
+        present = []
         y = nm.embedding(self.params["dec.word_emb"], ids) + nm.embedding(
-            self.params["dec.pos_emb"], np.arange(t)
+            self.params["dec.pos_emb"], np.arange(p0, p0 + t)
         )
-        mask = nm.causal_mask(t)
+        mask = nm.causal_mask(t, p0)
         if self.config.use_decoder_lm:
             for i in range(self.config.decoder_lm_layers):
-                y = _block(self.params, f"lm.b{i}", y, self.config.n_heads, mask)
+                y, kv = _block(
+                    self.params, f"lm.b{i}", y, n_heads, mask, next(layer_past, None)
+                )
+                present.append(kv)
 
         x = y
-        a_s = a_c = x
-        attn = None
         for i in range(self.config.cross_layers):
             pre = f"cross.b{i}"
-            s, _ = _mha(self.params, f"{pre}.self", x, x, x, self.config.n_heads, mask)
-            a_s = nm.layer_norm(s + x, self.params[f"{pre}.ln1.g"], self.params[f"{pre}.ln1.b"])
-            c, attn = _mha(self.params, f"{pre}.xattn", a_s, h_enc, h_enc, self.config.n_heads)
-            a_c = nm.layer_norm(c + a_s, self.params[f"{pre}.ln2.g"], self.params[f"{pre}.ln2.b"])
+            p = lambda name: self.params[f"{pre}.{name}"]
+            s, kv = _self_attention(
+                self.params, f"{pre}.self", x, n_heads, mask, next(layer_past, None)
+            )
+            present.append(kv)
+            a_s = nm.layer_norm(s + x, p("ln1.g"), p("ln1.b"))
+            q = nm.project_heads(a_s, p("xattn.wq"), p("xattn.bq"), n_heads)
+            c, attn = nm.attend(q, *enc.cross_kv[i], p("xattn.wo"), p("xattn.bo"))
+            a_c = nm.layer_norm(c + a_s, p("ln2.g"), p("ln2.b"))
             f = _ffn(self.params, f"{pre}.ffn", a_c)
-            x = nm.layer_norm(f + a_c, self.params[f"{pre}.ln3.g"], self.params[f"{pre}.ln3.b"])
-        if attn is None:
-            raise ConfigError("cross_layers must be >= 1 for decoding")
-        return y, a_s, a_c, x, attn
+            x = nm.layer_norm(f + a_c, p("ln3.g"), p("ln3.b"))
+        return y, a_c, x, nm.mean(attn, axis=-3), present
 
-    def sequence_distributions(self, prefix_ids, enc: EncodedContext) -> Tensor:
-        """Mixture distribution at every prefix position, in-graph (T,V)."""
-        y, _, a_c, o, attn = self._decoder_trace(prefix_ids, enc.h)
+    def _mixture(self, y, a_c, o, copy, context_ids):
+        """Pointer-generator output for rows of decoder states: the final
+        distribution, p_gen (None without the pointer) and the vocabulary
+        distribution."""
         vocab_dist = nm.softmax(
             nm.linear(o, self.params["out.w"], self.params["out.b"]), axis=-1
         )
         if not self.config.use_pointer:
-            return vocab_dist
-        gate_in = nm.concat([y, a_c], axis=-1)
-        p_gen = nm.sigmoid(nm.linear(gate_in, self.params["gate.w"], self.params["gate.b"]))
-        copy = nm.mean(attn, axis=0)  # (T, L) heads averaged
-        copy_vocab = nm.scatter_to_vocab(copy, enc.context_ids, self.config.vocab_size)
-        return p_gen * vocab_dist + (1.0 - p_gen) * copy_vocab
+            return vocab_dist, None, vocab_dist
+        p_gen = self.generation_gate(y, a_c)
+        copy_vocab = nm.scatter_to_vocab(copy, context_ids, self.config.vocab_size)
+        return p_gen * vocab_dist + (1.0 - p_gen) * copy_vocab, p_gen, vocab_dist
 
-    def decode_step(self, prefix_ids, enc: EncodedContext) -> DecoderStepOutput:
-        """One inference step: distributions for the position after the prefix."""
+    def sequence_distributions(self, prefix_ids, enc: EncodedContext) -> Tensor:
+        """Mixture distribution at every prefix position, in-graph (T,V)."""
+        y, a_c, o, copy, _ = self._decoder(np.asarray(prefix_ids, dtype=np.intp), enc)
+        return self._mixture(y, a_c, o, copy, enc.context_ids)[0]
+
+    def decode_step(self, prefixes, enc: EncodedContext) -> DecoderStepOutput:
+        """One inference step for B equal-length prefixes: the distributions
+        over the token after each.
+
+        Only each prefix's last token runs through the decoder. The keys and
+        values of the tokens before it come from `enc.self_kv`; a prefix
+        missing there is run through the same decoder function first. The
+        cache then holds these prefixes, for the next step to extend.
+        """
+        if len({len(p) for p in prefixes}) != 1:
+            raise ConfigError("decode_step takes one or more equal-length prefixes")
+        ids = np.asarray(prefixes, dtype=np.intp)
+        self._check_prefix_length(ids.shape[1])
         with nm.no_grad():
-            y, a_s, a_c, o, attn = self._decoder_trace(prefix_ids, enc.h)
-            vocab_dist = nm.softmax(
-                nm.linear(o, self.params["out.w"], self.params["out.b"]), axis=-1
-            ).data[-1]
-            copy_attn = attn.data[:, -1, :].mean(axis=0)
-            if self.config.use_pointer:
-                p_gen = float(
-                    self.generation_gate(
-                        Tensor(y.data[-1]), Tensor(a_c.data[-1])
-                    ).item()
-                )
-            else:
-                p_gen = 1.0
-        step = DecoderStepOutput(
-            a_s=a_s.data[-1].copy(),
-            a_c=a_c.data[-1].copy(),
-            o=o.data[-1].copy(),
-            p_gen=p_gen,
-            vocab_dist=vocab_dist.copy(),
-            copy_attn=copy_attn.copy(),
-            final_dist=np.empty(0),
+            past = self._cached_past(ids[:, :-1], enc)
+            y, a_c, o, copy, present = self._decoder(ids[:, -1:], enc, past)
+            y, a_c, o, copy = (t[:, -1] for t in (y, a_c, o, copy))
+            final, p_gen, vocab_dist = self._mixture(y, a_c, o, copy, enc.context_ids)
+        enc.self_kv = {
+            tuple(row): [(k.data[b], v.data[b]) for k, v in present]
+            for b, row in enumerate(ids.tolist())
+        }
+        return DecoderStepOutput(
+            a_c=a_c.data,
+            p_gen=np.ones(len(ids)) if p_gen is None else p_gen.data[:, 0],
+            vocab_dist=vocab_dist.data,
+            copy_attn=copy.data,
+            final_dist=final.data,
         )
-        step.final_dist = output_distribution(step, enc.context_ids)
-        return step
 
-    def generation_gate(self, y_t: Tensor, a_c_t: Tensor) -> Tensor:
-        """p_gen = logistic(w . [y_t; a_c_t] + b), a scalar tensor."""
-        row = nm.reshape(nm.concat([y_t, a_c_t], axis=0), (1, 2 * self.config.d_model))
-        z = nm.linear(row, self.params["gate.w"], self.params["gate.b"])
-        return nm.reshape(nm.sigmoid(z), ())
+    def _cached_past(self, heads: np.ndarray, enc: EncodedContext) -> list | None:
+        """Every decoder layer's (k, v) heads over the B prefixes `heads`
+        (B, P), stacked to (B, H, P, dh); None when P = 0."""
+        if heads.shape[1] == 0:
+            return None
+        rows = []
+        for key in map(tuple, heads.tolist()):
+            if key not in enc.self_kv:
+                *_, present = self._decoder(np.asarray(key, dtype=np.intp), enc)
+                enc.self_kv[key] = [(k.data, v.data) for k, v in present]
+            rows.append(enc.self_kv[key])
+        return [
+            (np.stack([r[i][0] for r in rows]), np.stack([r[i][1] for r in rows]))
+            for i in range(len(rows[0]))
+        ]
 
-    def next_distribution(self, enc: EncodedContext, prefix_ids) -> np.ndarray:
-        return self.decode_step(prefix_ids, enc).final_dist
+    def generation_gate(self, y: Tensor, a_c: Tensor) -> Tensor:
+        """p_gen = logistic(w . [y; a_c] + b) for each row of (N, d) inputs, (N, 1)."""
+        gate_in = nm.concat([y, a_c], axis=-1)
+        return nm.sigmoid(nm.linear(gate_in, self.params["gate.w"], self.params["gate.b"]))
+
+    def next_distributions(self, enc: EncodedContext, prefixes) -> np.ndarray:
+        return self.decode_step(prefixes, enc).final_dist
 
     # -- persistence -------------------------------------------------------
 

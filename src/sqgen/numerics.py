@@ -477,55 +477,53 @@ def scatter_to_vocab(weights: Tensor, ids, width: int) -> Tensor:
 # -- attention ----------------------------------------------------------------
 
 
-def multi_head_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    wq: Tensor,
-    bq: Tensor,
-    wk: Tensor,
-    bk: Tensor,
-    wv: Tensor,
-    bv: Tensor,
-    wo: Tensor,
-    bo: Tensor,
-    n_heads: int,
-    mask: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention over n_heads splits of the model dim.
-
-    q (Tq,d), k/v (Tk,d). `mask` is an additive constant broadcastable to
-    (Tq,Tk); hidden positions carry -1e9 so they vanish under softmax.
-    Returns the projected output (Tq,d) and the attention weights
-    (n_heads,Tq,Tk), which stay in the graph (the copy path trains through
-    them).
-    """
-    d = q.data.shape[-1]
+def project_heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
+    """Project x (..., T, d) with w, b and split the result into heads,
+    (..., n_heads, T, d // n_heads)."""
+    *lead, t, d = x.data.shape
     if d % n_heads != 0:
         raise ConfigError(f"d_model={d} not divisible by n_heads={n_heads}")
-    dh = d // n_heads
-    tq, tk = q.data.shape[0], k.data.shape[0]
+    n = len(lead)
+    split = reshape(linear(x, w, b), (*lead, t, n_heads, d // n_heads))
+    return transpose(split, (*range(n), n + 1, n, n + 2))
 
-    def split(x: Tensor, t: int) -> Tensor:
-        return transpose(reshape(x, (t, n_heads, dh)), (1, 0, 2))
 
-    qh = split(linear(q, wq, bq), tq)  # (H,Tq,dh)
-    kh = split(linear(k, wk, bk), tk)  # (H,Tk,dh)
-    vh = split(linear(v, wv, bv), tk)  # (H,Tk,dh)
-
-    scores = mul(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
+def attend(
+    qh: Tensor,
+    kh: Tensor,
+    vh: Tensor,
+    wo: Tensor,
+    bo: Tensor,
+    mask: np.ndarray | None = None,
+) -> tuple[Tensor, Tensor]:
+    """Scaled dot-product attention over head-split queries (..., H, Tq, dh)
+    and keys/values (..., H, Tk, dh), leading axes broadcast. `mask` is an
+    additive constant broadcastable to (Tq, Tk); hidden positions carry -1e9
+    so they vanish under softmax. Returns the heads merged and projected
+    through wo, bo (..., Tq, d) and the attention weights (..., H, Tq, Tk),
+    which stay in the graph (the copy path trains through them).
+    """
+    nk = kh.ndim
+    dh = qh.data.shape[-1]
+    kt = transpose(kh, (*range(nk - 2), nk - 1, nk - 2))
+    scores = mul(matmul(qh, kt), 1.0 / np.sqrt(dh))
     if mask is not None:
         scores = add(scores, np.asarray(mask, dtype=np.float64))
-    attn = softmax(scores, axis=-1)  # (H,Tq,Tk)
+    attn = softmax(scores, axis=-1)
 
-    ctx = matmul(attn, vh)  # (H,Tq,dh)
-    merged = reshape(transpose(ctx, (1, 0, 2)), (tq, d))
+    ctx = matmul(attn, vh)  # (..., H, Tq, dh)
+    nd = ctx.ndim
+    *lead, h, tq, _ = ctx.data.shape
+    merged = reshape(
+        transpose(ctx, (*range(nd - 3), nd - 2, nd - 3, nd - 1)), (*lead, tq, h * dh)
+    )
     return linear(merged, wo, bo), attn
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """(t,t) additive mask hiding future positions from each query."""
-    return np.triu(np.full((t, t), -1e9), k=1)
+def causal_mask(t: int, past: int = 0) -> np.ndarray:
+    """(t, past+t) additive mask hiding from each of t new queries the keys
+    that come after it, when `past` earlier keys precede them."""
+    return np.triu(np.full((t, past + t), -1e9), k=past + 1)
 
 
 # -- gradient bookkeeping ------------------------------------------------------

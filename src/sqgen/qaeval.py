@@ -411,7 +411,7 @@ class JointQaScorer:
             + nm.embedding(self.params["seg_emb"], seg)
         )
         for i in range(c.layers):
-            x = _block(self.params, f"b{i}", x, c.n_heads)
+            x, _ = _block(self.params, f"b{i}", x, c.n_heads)
 
         keep = np.concatenate([[0], np.arange(n_lead, ids.size)])  # sentinel + context
         h = x[keep]

@@ -69,6 +69,9 @@ class StubModel:
         weights = rng.random(self.vocab_size) + 1e-3
         return weights / weights.sum()
 
+    def next_distributions(self, context, prefixes) -> np.ndarray:
+        return np.stack([self.next_distribution(context, p) for p in prefixes])
+
 
 class TiedStubModel(StubModel):
     """Every token equally likely: exercises lowest-id tie-breaking."""

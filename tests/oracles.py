@@ -126,6 +126,40 @@ def best_sequence(model, context, steps: int, eos_id: int = 3) -> tuple[list[int
     return best[0][1], best[0][0]
 
 
+def tuple_sort_beam_search(
+    model, context, beam: int, max_len: int, length_normalize: bool = True, eos_id: int = 3
+) -> list[tuple[list[int], float, bool]]:
+    """Beam search that scores every (parent, token) candidate as a Python
+    tuple and sorts them all by (-score, parent, token), asking the model for
+    one prefix at a time. Returns (ids, logprob, finished) best first."""
+    live: list[tuple[list[int], float]] = [([2], 0.0)]  # BOS
+    finished: list[tuple[list[int], float]] = []
+    for _ in range(max_len):
+        if not live:
+            break
+        candidates = []
+        for parent_idx, (ids, logprob) in enumerate(live):
+            dist = model.next_distribution(context, ids)
+            with np.errstate(divide="ignore"):
+                logp = np.log(dist)
+            for tok in range(len(dist)):
+                candidates.append((logprob + float(logp[tok]), parent_idx, tok))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_live = []
+        for score, parent_idx, tok in candidates[:beam]:
+            if score == -math.inf:
+                continue
+            child = (live[parent_idx][0] + [tok], score)
+            (finished if tok == eos_id else next_live).append(child)
+        live = next_live
+    pool = [(ids, lp, True) for ids, lp in finished] + [(ids, lp, False) for ids, lp in live]
+    if length_normalize:
+        pool.sort(key=lambda h: (-h[1] / max(1, len(h[0]) - 1), h[0]))
+    else:
+        pool.sort(key=lambda h: (-h[1], h[0]))
+    return pool
+
+
 # -- finite differences --------------------------------------------------------
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from sqgen import cli
 from sqgen.corpus import read_prepared
+from sqgen.decoding import greedy
 from sqgen.model import BertPgn, save_checkpoint
 from sqgen.qaeval import FLAG_NAMES
 from sqgen.textproc import decode, load_vocab
@@ -307,6 +308,33 @@ class TestGenerate:
         assert manifest["settings"]["mode"] == "beam"
         assert manifest["settings"]["beam"] == 2
         assert manifest["settings"]["max_question"] == 8
+
+    def test_manifest_records_wall_time_and_eos_count(self, workspace, tmp_path):
+        out = str(tmp_path / "gen.jsonl")
+        assert self.generate(workspace, out, "--mode", "greedy") == cli.EXIT_OK
+        manifest = json.loads(open(out + ".manifest.json", encoding="utf-8").read())
+        assert manifest["wall_seconds"] > 0.0
+        model = BertPgn.from_checkpoint(workspace["checkpoint"])
+        finished = [
+            greedy(model, model.encode_context(ex.context_ids, ex.type_ids), max_len=8).finished
+            for ex in read_prepared(workspace["prepared"])
+        ]
+        assert manifest["settings"]["reached_eos"] == sum(finished)
+
+    def test_oversized_last_context_leaves_no_output(self, workspace, tmp_path):
+        rows = [json.loads(line) for line in read_lines(workspace["prepared"])]
+        long = dict(rows[0], id="too_long", context_ids=[5] * 65, type_ids=[0] * 65)
+        data = str(tmp_path / "with_long.jsonl")
+        write_jsonl(data, rows + [long])
+        out = tmp_path / "gen.jsonl"
+        rc = cli.main(
+            ["generate", "--checkpoint", workspace["checkpoint"], "--data", data,
+             "--vocab", workspace["vocab"], "--output", str(out), "--max-question", "8"]
+        )
+        assert rc == cli.EXIT_INPUT
+        assert not out.exists()
+        assert not (tmp_path / "gen.jsonl.manifest.json").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["with_long.jsonl"]
 
     def test_vocab_size_mismatch_exits_2(self, workspace, tmp_path):
         small = str(tmp_path / "small_vocab.txt")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import oracles
@@ -141,6 +143,40 @@ class TestBeamSearch:
         g = greedy(m, enc, max_len=6)
         b = beam_search(m, enc, beam=1, max_len=6)
         assert b[0].ids == g.ids
+
+
+class ZeroStubModel(StubModel):
+    """StubModel with about half the tokens, seeded per prefix, at probability
+    zero; a row can be all zeros."""
+
+    def next_distribution(self, context, prefix_ids) -> np.ndarray:
+        dist = super().next_distribution(context, prefix_ids)
+        rng = np.random.default_rng([self.seed + 1, len(prefix_ids), *prefix_ids])
+        dist[rng.random(self.vocab_size) < 0.5] = 0.0
+        return dist
+
+
+class TestBeamPruningOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model_cls=st.sampled_from([StubModel, TiedStubModel, ZeroStubModel]),
+        vocab_size=st.integers(1, 10),
+        beam=st.integers(1, 40),
+        max_len=st.integers(0, 5),
+        seed=st.integers(0, 1000),
+        length_normalize=st.booleans(),
+    )
+    def test_matches_tuple_sort_reference(
+        self, model_cls, vocab_size, beam, max_len, seed, length_normalize
+    ):
+        model = model_cls(vocab_size, seed=seed)
+        got = beam_search(
+            model, None, beam=beam, max_len=max_len, length_normalize=length_normalize
+        )
+        want = oracles.tuple_sort_beam_search(
+            model, None, beam=beam, max_len=max_len, length_normalize=length_normalize
+        )
+        assert [(h.ids, h.logprob, h.finished) for h in got] == want
 
 
 class TestSampleStep:

@@ -108,7 +108,7 @@ class TestDecodeStep:
     def test_distributions_are_normalized(self):
         m = toy_model()
         enc = m.encode_context([5, 6, 7], [0, 1, 0])
-        step = m.decode_step([2, 5], enc)
+        step = m.decode_step([[2, 5]], enc).row(0)
         assert step.final_dist.sum() == pytest.approx(1.0, abs=1e-6)
         assert step.vocab_dist.sum() == pytest.approx(1.0, abs=1e-6)
         assert step.copy_attn.sum() == pytest.approx(1.0, abs=1e-6)
@@ -126,18 +126,18 @@ class TestDecodeStep:
         m = toy_model()
         enc = m.encode_context([5, 6], [1, 0])
         with pytest.raises(QuestionTooLong):
-            m.decode_step([2] + [5] * (TOY["max_question"] + 1), enc)
+            m.decode_step([[2] + [5] * (TOY["max_question"] + 1)], enc)
 
     def test_empty_prefix_rejected(self):
         m = toy_model()
         enc = m.encode_context([5, 6], [1, 0])
         with pytest.raises(ConfigError):
-            m.decode_step([], enc)
+            m.decode_step([[]], enc)
 
     def test_no_pointer_final_equals_vocab(self):
         m = toy_model(use_pointer=False)
         enc = m.encode_context([5, 6, 7], [0, 1, 0])
-        step = m.decode_step([2, 5], enc)
+        step = m.decode_step([[2, 5]], enc).row(0)
         assert step.p_gen == 1.0
         assert np.array_equal(step.final_dist, step.vocab_dist)
 
@@ -152,13 +152,61 @@ class TestDecodeStep:
         assert all(name.startswith("lm.") for name in full - no_lm)
 
 
+class TestIncrementalDecoding:
+    # Parents of each step's prefixes, step by step (cycled): duplicates,
+    # swaps, and batches that shrink and regrow as hypotheses finish.
+    PARENTS = [[0, 0, 0], [2, 0, 1], [1, 1], [1, 0, 0], [0, 2], [1, 0, 1]]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"use_pointer": False}, {"use_decoder_lm": False}, {"decoder_lm_layers": 0}],
+        ids=["full", "no_pointer", "no_decoder_lm", "zero_lm_layers"],
+    )
+    def test_cached_steps_match_full_prefix_recompute(self, overrides):
+        for seed in range(3):
+            m = toy_model(seed=seed, **{"decoder_lm_layers": 2, "cross_layers": 2, **overrides})
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(3, TOY["max_context"] + 1))
+            enc = m.encode_context(
+                rng.integers(4, TOY["vocab_size"], size=n).tolist(),
+                rng.integers(0, 2, size=n).tolist(),
+            )
+            prefixes = [[2]]
+            for t in range(TOY["max_question"] + 1):
+                step = m.decode_step(prefixes, enc)
+                assert set(enc.self_kv) == {tuple(p) for p in prefixes}
+                for prefix, row in zip(prefixes, step.final_dist):
+                    with nm.no_grad():
+                        want = m.sequence_distributions(prefix, enc).data[-1]
+                    assert np.max(np.abs(row - want)) <= 1e-12
+                prefixes = [
+                    prefixes[i] + [int(rng.integers(TOY["vocab_size"]))]
+                    for i in self.PARENTS[t % len(self.PARENTS)]
+                ]
+
+    def test_cache_miss_matches_cached_step(self):
+        m = toy_model(seed=4)
+        enc = m.encode_context([5, 6, 7, 8], [0, 1, 1, 0])
+        for prefix in ([2], [2, 9], [2, 9, 11]):
+            cached = m.decode_step([prefix], enc).final_dist
+        fresh = m.encode_context([5, 6, 7, 8], [0, 1, 1, 0])
+        missed = m.decode_step([[2, 9, 11]], fresh).final_dist
+        assert np.max(np.abs(cached - missed)) <= 1e-12
+
+    def test_unequal_prefix_lengths_rejected(self):
+        m = toy_model()
+        enc = m.encode_context([5, 6], [1, 0])
+        with pytest.raises(ConfigError):
+            m.decode_step([[2, 5], [2]], enc)
+
+
 class TestGenerationGate:
     def test_zero_weights_give_half(self):
         m = toy_model()
         m.params["gate.w"].data[:] = 0.0
         m.params["gate.b"].data[:] = 0.0
         d = TOY["d_model"]
-        p = m.generation_gate(nm.Tensor(np.ones(d)), nm.Tensor(np.ones(d))).item()
+        p = m.generation_gate(nm.Tensor(np.ones((1, d))), nm.Tensor(np.ones((1, d)))).data[0, 0]
         assert p == pytest.approx(0.5)
 
     def test_large_bias_saturates(self):
@@ -166,9 +214,9 @@ class TestGenerationGate:
         m.params["gate.w"].data[:] = 0.0
         d = TOY["d_model"]
         m.params["gate.b"].data[:] = 30.0
-        hi = m.generation_gate(nm.Tensor(np.zeros(d)), nm.Tensor(np.zeros(d))).item()
+        hi = m.generation_gate(nm.Tensor(np.zeros((1, d))), nm.Tensor(np.zeros((1, d)))).data[0, 0]
         m.params["gate.b"].data[:] = -30.0
-        lo = m.generation_gate(nm.Tensor(np.zeros(d)), nm.Tensor(np.zeros(d))).item()
+        lo = m.generation_gate(nm.Tensor(np.zeros((1, d))), nm.Tensor(np.zeros((1, d)))).data[0, 0]
         assert hi == pytest.approx(1.0, abs=1e-12)
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert 0.0 < lo and hi < 1.0
@@ -176,7 +224,7 @@ class TestGenerationGate:
 
 class TestOutputDistribution:
     def _step(self, m, enc, prefix=(2, 5)):
-        return m.decode_step(list(prefix), enc)
+        return m.decode_step([list(prefix)], enc).row(0)
 
     def test_pure_generation_endpoint(self):
         m = toy_model()

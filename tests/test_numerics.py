@@ -119,10 +119,10 @@ class TestAttention:
         return names
 
     def _run(self, q, k, v, p, n_heads, mask=None):
-        return nm.multi_head_attention(
-            q, k, v,
-            p["wq"], p["bq"], p["wk"], p["bk"], p["wv"], p["bv"], p["wo"], p["bo"],
-            n_heads=n_heads, mask=mask,
+        heads = lambda x, w, b: nm.project_heads(x, p[w], p[b], n_heads)
+        return nm.attend(
+            heads(q, "wq", "bq"), heads(k, "wk", "bk"), heads(v, "wv", "bv"),
+            p["wo"], p["bo"], mask,
         )
 
     def test_uniform_attention_when_queries_equal(self):
