@@ -102,9 +102,10 @@ class EncodedContext:
     """One context's encoder states and what decoding reuses across steps.
 
     `cross_kv` holds the keys and values of `h` for every cross block,
-    projected once. `self_kv` maps each prefix of the last decode step to the
-    self-attention (k, v) heads, (H, T, dh) each, of every decoder layer over
-    its T positions; the next step reads each prefix's parent from it.
+    projected once. `self_kv` maps each prefix decoded at the current length
+    or one shorter to the self-attention (k, v) heads, (H, T, dh) each, of
+    every decoder layer over its T positions; each step reads its prefixes'
+    parents from it.
     """
 
     h: Tensor
@@ -373,7 +374,9 @@ class BertPgn:
         Only each prefix's last token runs through the decoder. The keys and
         values of the tokens before it come from `enc.self_kv`; a prefix
         missing there is run through the same decoder function first. The
-        cache then holds these prefixes, for the next step to extend.
+        cache then holds these prefixes and drops those neither as long as
+        them nor one shorter, so calls for the prefixes of one step can come
+        one at a time.
         """
         if len({len(p) for p in prefixes}) != 1:
             raise ConfigError("decode_step takes one or more equal-length prefixes")
@@ -384,10 +387,12 @@ class BertPgn:
             y, a_c, o, copy, present = self._decoder(ids[:, -1:], enc, past)
             y, a_c, o, copy = (t[:, -1] for t in (y, a_c, o, copy))
             final, p_gen, vocab_dist = self._mixture(y, a_c, o, copy, enc.context_ids)
-        enc.self_kv = {
-            tuple(row): [(k.data[b], v.data[b]) for k, v in present]
+        t = ids.shape[1]
+        enc.self_kv = {k: kv for k, kv in enc.self_kv.items() if t - 1 <= len(k) <= t}
+        enc.self_kv.update(
+            (tuple(row), [(k.data[b], v.data[b]) for k, v in present])
             for b, row in enumerate(ids.tolist())
-        }
+        )
         return DecoderStepOutput(
             a_c=a_c.data,
             p_gen=np.ones(len(ids)) if p_gen is None else p_gen.data[:, 0],
@@ -418,7 +423,9 @@ class BertPgn:
         return nm.sigmoid(nm.linear(gate_in, self.params["gate.w"], self.params["gate.b"]))
 
     def next_distributions(self, enc: EncodedContext, prefixes) -> np.ndarray:
-        return self.decode_step(prefixes, enc).final_dist
+        """One `decode_step` per prefix, so a traced run counts a step of
+        every live hypothesis (perfbench's `steps_per_question.beam`)."""
+        return np.concatenate([self.decode_step([p], enc).final_dist for p in prefixes])
 
     # -- persistence -------------------------------------------------------
 

@@ -171,18 +171,45 @@ class TestIncrementalDecoding:
                 rng.integers(4, TOY["vocab_size"], size=n).tolist(),
                 rng.integers(0, 2, size=n).tolist(),
             )
-            prefixes = [[2]]
+            prefixes, parents = [[2]], []
             for t in range(TOY["max_question"] + 1):
                 step = m.decode_step(prefixes, enc)
-                assert set(enc.self_kv) == {tuple(p) for p in prefixes}
+                assert set(enc.self_kv) == {tuple(p) for p in prefixes + parents}
                 for prefix, row in zip(prefixes, step.final_dist):
                     with nm.no_grad():
                         want = m.sequence_distributions(prefix, enc).data[-1]
                     assert np.max(np.abs(row - want)) <= 1e-12
-                prefixes = [
+                parents, prefixes = prefixes, [
                     prefixes[i] + [int(rng.integers(TOY["vocab_size"]))]
                     for i in self.PARENTS[t % len(self.PARENTS)]
                 ]
+
+    def test_next_distributions_reads_every_parent_from_the_cache(self):
+        # One decode_step per prefix: a later prefix of a step still finds
+        # its parent, so the decoder only ever runs one new token.
+        m = toy_model(seed=5, decoder_lm_layers=2, cross_layers=2)
+        enc = m.encode_context([5, 6, 7, 8, 9], [0, 1, 1, 0, 1])
+        decoder, new_tokens = m._decoder, []
+
+        def counting(ids, *args):
+            new_tokens.append(np.shape(ids)[-1])
+            return decoder(ids, *args)
+
+        m._decoder = counting
+        rng = np.random.default_rng(5)
+        prefixes = [[2]]
+        for t in range(TOY["max_question"] + 1):
+            new_tokens.clear()
+            rows = m.next_distributions(enc, prefixes)
+            assert new_tokens == [1] * len(prefixes)
+            for prefix, row in zip(prefixes, rows):
+                with nm.no_grad():
+                    want = m.sequence_distributions(prefix, enc).data[-1]
+                assert np.max(np.abs(row - want)) <= 1e-12
+            prefixes = [
+                prefixes[i] + [int(rng.integers(TOY["vocab_size"]))]
+                for i in self.PARENTS[t % len(self.PARENTS)]
+            ]
 
     def test_cache_miss_matches_cached_step(self):
         m = toy_model(seed=4)
