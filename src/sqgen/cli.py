@@ -15,7 +15,6 @@ variable caps worker threads for data preparation.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import subprocess
@@ -103,20 +102,6 @@ def _setting(args: argparse.Namespace, name: str, default):
     if value is not None:
         return value
     return args._file_config.get(name, default)
-
-
-@contextlib.contextmanager
-def _replaced_on_success(path: str):
-    """A text file to write `path` through: it takes `path`'s place only if
-    the block completes, so a failure leaves no partial output."""
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            yield f
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def _read_jsonl(path: str) -> list[dict]:
@@ -281,28 +266,31 @@ def cmd_generate(args: argparse.Namespace) -> int:
     temperature = _setting(args, "temperature", decoding.DEFAULT_TEMPERATURE)
     seed = _setting(args, "seed", 0)
 
-    reached_eos = 0
-    with _replaced_on_success(args.output) as out:
-        for ex in examples:
-            with nm.no_grad():
-                enc = model.encode_context(ex.context_ids, ex.type_ids)
-            if args.mode == "beam":
-                hyp = decoding.beam_search(
-                    model, enc, beam=beam, max_len=max_len,
-                    length_normalize=not args.no_length_normalize,
-                )[0]
-            elif args.mode == "nucleus":
-                hyp = decoding.nucleus_sample(
-                    model, enc, top_p=top_p, temperature=temperature,
-                    seed=seed, max_len=max_len,
-                )
-            else:
-                hyp = decoding.greedy(model, enc, max_len=max_len)
-            reached_eos += hyp.finished
+    # Rows are written only once every context has decoded, so a bad context
+    # leaves no partial output.
+    rows = []
+    for ex in examples:
+        with nm.no_grad():
+            enc = model.encode_context(ex.context_ids, ex.type_ids)
+        if args.mode == "beam":
+            hyp = decoding.beam_search(
+                model, enc, beam=beam, max_len=max_len,
+                length_normalize=not args.no_length_normalize,
+            )[0]
+        elif args.mode == "nucleus":
+            hyp = decoding.nucleus_sample(
+                model, enc, top_p=top_p, temperature=temperature,
+                seed=seed, max_len=max_len,
+            )
+        else:
+            hyp = decoding.greedy(model, enc, max_len=max_len)
+        rows.append((ex.id, hyp))
+    with open(args.output, "w", encoding="utf-8") as out:
+        for rid, hyp in rows:
             out.write(
                 json.dumps(
                     {
-                        "id": ex.id,
+                        "id": rid,
                         "question_text": textproc.decode(hyp.ids, vocab),
                         "logprob": hyp.logprob,
                     },
@@ -317,7 +305,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         settings={
             "mode": args.mode, "beam": beam, "top_p": top_p,
             "temperature": temperature, "max_question": max_len,
-            "reached_eos": reached_eos,
+            "reached_eos": sum(hyp.finished for _, hyp in rows),
         },
         wall_seconds=time.monotonic() - t0,
     )

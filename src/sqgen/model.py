@@ -20,8 +20,8 @@ real output token ids.
 Training and inference share one decoder function, `BertPgn._decoder`, which
 runs T new positions on top of the self-attention keys and values of the
 positions before them. Training runs the whole prefix with nothing before it.
-Inference runs one new position per prefix for a batch of prefixes, reusing
-the keys and values cached on the `EncodedContext` (Shazeer 2019, arXiv
+Inference runs only a prefix's last token, reusing the keys and values of the
+tokens before it cached on the `EncodedContext` (Shazeer 2019, arXiv
 1911.02150), and only that position pays for the output projection, the
 softmax and the pointer mixture.
 """
@@ -118,24 +118,13 @@ class EncodedContext:
 
 @dataclass
 class DecoderStepOutput:
-    """What the new decode position produced for each of B prefixes, as plain
-    arrays with one row per prefix."""
+    """Everything the final decode position produced, as plain arrays."""
 
-    a_c: np.ndarray  # (B, d)
-    p_gen: np.ndarray  # (B,)
-    vocab_dist: np.ndarray  # (B, V)
-    copy_attn: np.ndarray  # (B, L)
-    final_dist: np.ndarray  # (B, V)
-
-    def row(self, i: int) -> "DecoderStepOutput":
-        """Prefix i's fields alone: 1-D arrays and a float p_gen."""
-        return DecoderStepOutput(
-            a_c=self.a_c[i],
-            p_gen=float(self.p_gen[i]),
-            vocab_dist=self.vocab_dist[i],
-            copy_attn=self.copy_attn[i],
-            final_dist=self.final_dist[i],
-        )
+    a_c: np.ndarray
+    p_gen: float
+    vocab_dist: np.ndarray
+    copy_attn: np.ndarray
+    final_dist: np.ndarray
 
 
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
@@ -206,7 +195,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
 
 
 def _self_attention(params, prefix: str, x: Tensor, n_heads: int, mask=None, past=None):
-    """Attention of x's positions (..., T, d) over the `past` (k, v) heads
+    """Attention of x's positions (T, d) over the `past` (k, v) heads
     and their own. Returns the output and the (k, v) heads of all positions,
     which a later call can take as its past."""
     p = lambda name: params[f"{prefix}.{name}"]
@@ -214,8 +203,8 @@ def _self_attention(params, prefix: str, x: Tensor, n_heads: int, mask=None, pas
     k = nm.project_heads(x, p("wk"), p("bk"), n_heads)
     v = nm.project_heads(x, p("wv"), p("bv"), n_heads)
     if past is not None:
-        k = nm.concat([past[0], k], axis=-2)
-        v = nm.concat([past[1], v], axis=-2)
+        k = nm.concat([past[0], k], axis=1)
+        v = nm.concat([past[1], v], axis=1)
     out, _ = nm.attend(q, k, v, p("wo"), p("bo"), mask)
     return out, (k, v)
 
@@ -307,17 +296,17 @@ class BertPgn:
             )
 
     def _decoder(self, ids: np.ndarray, enc: EncodedContext, past: list | None = None):
-        """Run the decoder over new tokens `ids` (..., T) that follow P earlier
+        """Run the decoder over new tokens `ids` (T,) that follow P earlier
         positions, whose self-attention (k, v) heads `past` holds for every
         decoder layer in order (None when P = 0).
 
         Returns, for the new positions, the LM stack's output y, the final
         cross block's attention output a_c and output o, its attention
-        averaged over heads (the copy distribution, (..., T, L)), and every
+        averaged over heads (the copy distribution, (T, L)), and every
         layer's (k, v) heads over all P + T positions.
         """
-        t = ids.shape[-1]
-        p0 = 0 if past is None else past[0][0].shape[-2]
+        t = ids.size
+        p0 = 0 if past is None else past[0][0].shape[1]
         self._check_prefix_length(p0 + t)
         n_heads = self.config.n_heads
         layer_past = iter(past or [])
@@ -347,7 +336,7 @@ class BertPgn:
             a_c = nm.layer_norm(c + a_s, p("ln2.g"), p("ln2.b"))
             f = _ffn(self.params, f"{pre}.ffn", a_c)
             x = nm.layer_norm(f + a_c, p("ln3.g"), p("ln3.b"))
-        return y, a_c, x, nm.mean(attn, axis=-3), present
+        return y, a_c, x, nm.mean(attn, axis=0), present
 
     def _mixture(self, y, a_c, o, copy, context_ids):
         """Pointer-generator output for rows of decoder states: the final
@@ -359,73 +348,63 @@ class BertPgn:
         if not self.config.use_pointer:
             return vocab_dist, None, vocab_dist
         p_gen = self.generation_gate(y, a_c)
-        copy_vocab = nm.scatter_to_vocab(copy, context_ids, self.config.vocab_size)
-        return p_gen * vocab_dist + (1.0 - p_gen) * copy_vocab, p_gen, vocab_dist
+        return pointer_mixture(p_gen, vocab_dist, copy, context_ids), p_gen, vocab_dist
 
     def sequence_distributions(self, prefix_ids, enc: EncodedContext) -> Tensor:
         """Mixture distribution at every prefix position, in-graph (T,V)."""
         y, a_c, o, copy, _ = self._decoder(np.asarray(prefix_ids, dtype=np.intp), enc)
         return self._mixture(y, a_c, o, copy, enc.context_ids)[0]
 
-    def decode_step(self, prefixes, enc: EncodedContext) -> DecoderStepOutput:
-        """One inference step for B equal-length prefixes: the distributions
-        over the token after each.
+    def decode_step(self, prefix_ids, enc: EncodedContext) -> DecoderStepOutput:
+        """One inference step: distributions for the position after the prefix.
 
-        Only each prefix's last token runs through the decoder. The keys and
+        Only the prefix's last token runs through the decoder. The keys and
         values of the tokens before it come from `enc.self_kv`; a prefix
         missing there is run through the same decoder function first. The
-        cache then holds these prefixes and drops those neither as long as
-        them nor one shorter, so calls for the prefixes of one step can come
-        one at a time.
+        cache then holds this prefix and drops those neither as long as it
+        nor one shorter, so every prefix of one beam step, decoded one call
+        each, still finds its parent.
         """
-        if len({len(p) for p in prefixes}) != 1:
-            raise ConfigError("decode_step takes one or more equal-length prefixes")
-        ids = np.asarray(prefixes, dtype=np.intp)
-        self._check_prefix_length(ids.shape[1])
+        ids = np.asarray(prefix_ids, dtype=np.intp)
+        self._check_prefix_length(ids.size)
         with nm.no_grad():
-            past = self._cached_past(ids[:, :-1], enc)
-            y, a_c, o, copy, present = self._decoder(ids[:, -1:], enc, past)
-            y, a_c, o, copy = (t[:, -1] for t in (y, a_c, o, copy))
+            past = self._cached_past(ids[:-1], enc)
+            y, a_c, o, copy, present = self._decoder(ids[-1:], enc, past)
             final, p_gen, vocab_dist = self._mixture(y, a_c, o, copy, enc.context_ids)
-        t = ids.shape[1]
+        t = ids.size
         enc.self_kv = {k: kv for k, kv in enc.self_kv.items() if t - 1 <= len(k) <= t}
-        enc.self_kv.update(
-            (tuple(row), [(k.data[b], v.data[b]) for k, v in present])
-            for b, row in enumerate(ids.tolist())
-        )
+        enc.self_kv[tuple(ids.tolist())] = [(k.data, v.data) for k, v in present]
         return DecoderStepOutput(
-            a_c=a_c.data,
-            p_gen=np.ones(len(ids)) if p_gen is None else p_gen.data[:, 0],
-            vocab_dist=vocab_dist.data,
-            copy_attn=copy.data,
-            final_dist=final.data,
+            a_c=a_c.data[0],
+            p_gen=1.0 if p_gen is None else float(p_gen.data[0]),
+            vocab_dist=vocab_dist.data[0],
+            copy_attn=copy.data[0],
+            final_dist=final.data[0],
         )
 
-    def _cached_past(self, heads: np.ndarray, enc: EncodedContext) -> list | None:
-        """Every decoder layer's (k, v) heads over the B prefixes `heads`
-        (B, P), stacked to (B, H, P, dh); None when P = 0."""
-        if heads.shape[1] == 0:
+    def _cached_past(self, ids: np.ndarray, enc: EncodedContext) -> list | None:
+        """Every decoder layer's (k, v) heads over the tokens `ids`, from
+        `enc.self_kv` or, on a miss, from the decoder; None when `ids` is
+        empty."""
+        if ids.size == 0:
             return None
-        rows = []
-        for key in map(tuple, heads.tolist()):
-            if key not in enc.self_kv:
-                *_, present = self._decoder(np.asarray(key, dtype=np.intp), enc)
-                enc.self_kv[key] = [(k.data, v.data) for k, v in present]
-            rows.append(enc.self_kv[key])
-        return [
-            (np.stack([r[i][0] for r in rows]), np.stack([r[i][1] for r in rows]))
-            for i in range(len(rows[0]))
-        ]
+        key = tuple(ids.tolist())
+        if key not in enc.self_kv:
+            *_, present = self._decoder(ids, enc)
+            enc.self_kv[key] = [(k.data, v.data) for k, v in present]
+        return enc.self_kv[key]
 
     def generation_gate(self, y: Tensor, a_c: Tensor) -> Tensor:
-        """p_gen = logistic(w . [y; a_c] + b) for each row of (N, d) inputs, (N, 1)."""
+        """p_gen = logistic(w . [y; a_c] + b) for each row of y and a_c:
+        (T, d) rows give (T,), (d,) vectors a scalar tensor."""
         gate_in = nm.concat([y, a_c], axis=-1)
-        return nm.sigmoid(nm.linear(gate_in, self.params["gate.w"], self.params["gate.b"]))
+        rows = nm.reshape(gate_in, (-1, 2 * self.config.d_model))
+        z = nm.linear(rows, self.params["gate.w"], self.params["gate.b"])
+        return nm.reshape(nm.sigmoid(z), gate_in.shape[:-1])
 
     def next_distributions(self, enc: EncodedContext, prefixes) -> np.ndarray:
-        """One `decode_step` per prefix, so a traced run counts a step of
-        every live hypothesis (perfbench's `steps_per_question.beam`)."""
-        return np.concatenate([self.decode_step([p], enc).final_dist for p in prefixes])
+        """`decode_step`'s final distribution for each prefix, (B, V)."""
+        return np.stack([self.decode_step(p, enc).final_dist for p in prefixes])
 
     # -- persistence -------------------------------------------------------
 
@@ -439,14 +418,24 @@ class BertPgn:
         return cls(config, params=params)
 
 
+def pointer_mixture(
+    p_gen: Tensor, vocab_dist: Tensor, copy_attn: Tensor, context_ids
+) -> Tensor:
+    """The pointer-generator output (See et al. 2017):
+    p_gen * vocab_dist + (1 - p_gen) * copy_attn scattered onto the context's
+    token ids. p_gen has vocab_dist's shape without its last axis; copy_attn
+    has one weight per context position on that axis."""
+    g = nm.reshape(p_gen, p_gen.shape + (1,))
+    copy_vocab = nm.scatter_to_vocab(copy_attn, context_ids, vocab_dist.shape[-1])
+    return g * vocab_dist + (1.0 - g) * copy_vocab
+
+
 def output_distribution(step: DecoderStepOutput, context_ids) -> np.ndarray:
-    """Mix the vocabulary and copy distributions:
-    p_gen * vocab + (1 - p_gen) * scatter(copy_attn onto context token ids).
-    """
-    ids = np.asarray(context_ids, dtype=np.intp)
-    copy_vocab = np.zeros_like(step.vocab_dist)
-    np.add.at(copy_vocab, ids, step.copy_attn)
-    return step.p_gen * step.vocab_dist + (1.0 - step.p_gen) * copy_vocab
+    """`pointer_mixture` of one decode step's arrays."""
+    with nm.no_grad():
+        return pointer_mixture(
+            Tensor(step.p_gen), Tensor(step.vocab_dist), Tensor(step.copy_attn), context_ids
+        ).data
 
 
 # -- checkpoint container ------------------------------------------------------

@@ -478,14 +478,12 @@ def scatter_to_vocab(weights: Tensor, ids, width: int) -> Tensor:
 
 
 def project_heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
-    """Project x (..., T, d) with w, b and split the result into heads,
-    (..., n_heads, T, d // n_heads)."""
-    *lead, t, d = x.data.shape
+    """Project x (T, d) with w, b and split the result into heads,
+    (n_heads, T, d // n_heads)."""
+    t, d = x.data.shape
     if d % n_heads != 0:
         raise ConfigError(f"d_model={d} not divisible by n_heads={n_heads}")
-    n = len(lead)
-    split = reshape(linear(x, w, b), (*lead, t, n_heads, d // n_heads))
-    return transpose(split, (*range(n), n + 1, n, n + 2))
+    return transpose(reshape(linear(x, w, b), (t, n_heads, d // n_heads)), (1, 0, 2))
 
 
 def attend(
@@ -496,27 +494,21 @@ def attend(
     bo: Tensor,
     mask: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention over head-split queries (..., H, Tq, dh)
-    and keys/values (..., H, Tk, dh), leading axes broadcast. `mask` is an
-    additive constant broadcastable to (Tq, Tk); hidden positions carry -1e9
-    so they vanish under softmax. Returns the heads merged and projected
-    through wo, bo (..., Tq, d) and the attention weights (..., H, Tq, Tk),
-    which stay in the graph (the copy path trains through them).
+    """Scaled dot-product attention over head-split queries (H, Tq, dh) and
+    keys/values (H, Tk, dh). `mask` is an additive constant broadcastable to
+    (Tq, Tk); hidden positions carry -1e9 so they vanish under softmax.
+    Returns the heads merged and projected through wo, bo (Tq, d) and the
+    attention weights (H, Tq, Tk), which stay in the graph (the copy path
+    trains through them).
     """
-    nk = kh.ndim
-    dh = qh.data.shape[-1]
-    kt = transpose(kh, (*range(nk - 2), nk - 1, nk - 2))
-    scores = mul(matmul(qh, kt), 1.0 / np.sqrt(dh))
+    h, tq, dh = qh.data.shape
+    scores = mul(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
     if mask is not None:
         scores = add(scores, np.asarray(mask, dtype=np.float64))
-    attn = softmax(scores, axis=-1)
+    attn = softmax(scores, axis=-1)  # (H,Tq,Tk)
 
-    ctx = matmul(attn, vh)  # (..., H, Tq, dh)
-    nd = ctx.ndim
-    *lead, h, tq, _ = ctx.data.shape
-    merged = reshape(
-        transpose(ctx, (*range(nd - 3), nd - 2, nd - 3, nd - 1)), (*lead, tq, h * dh)
-    )
+    ctx = matmul(attn, vh)  # (H,Tq,dh)
+    merged = reshape(transpose(ctx, (1, 0, 2)), (tq, h * dh))
     return linear(merged, wo, bo), attn
 
 

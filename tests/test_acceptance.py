@@ -155,7 +155,7 @@ class TestCriterion2:
                 prefix = [BOS_ID] + rng.integers(
                     4, config.vocab_size, size=int(rng.integers(0, 4))
                 ).tolist()
-                step = model.decode_step([prefix], enc).row(0)
+                step = model.decode_step(prefix, enc)
 
                 assert abs(float(step.final_dist.sum()) - 1.0) <= 1e-6
                 assert 0.0 < step.p_gen < 1.0

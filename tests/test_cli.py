@@ -321,20 +321,29 @@ class TestGenerate:
         ]
         assert manifest["settings"]["reached_eos"] == sum(finished)
 
-    def test_oversized_last_context_leaves_no_output(self, workspace, tmp_path):
+    def _generate_with_oversized_last_context(self, workspace, tmp_path):
         rows = [json.loads(line) for line in read_lines(workspace["prepared"])]
         long = dict(rows[0], id="too_long", context_ids=[5] * 65, type_ids=[0] * 65)
         data = str(tmp_path / "with_long.jsonl")
         write_jsonl(data, rows + [long])
-        out = tmp_path / "gen.jsonl"
-        rc = cli.main(
+        return cli.main(
             ["generate", "--checkpoint", workspace["checkpoint"], "--data", data,
-             "--vocab", workspace["vocab"], "--output", str(out), "--max-question", "8"]
+             "--vocab", workspace["vocab"], "--output", str(tmp_path / "gen.jsonl"),
+             "--max-question", "8"]
         )
-        assert rc == cli.EXIT_INPUT
-        assert not out.exists()
+
+    def test_oversized_last_context_leaves_no_output(self, workspace, tmp_path):
+        assert self._generate_with_oversized_last_context(workspace, tmp_path) == cli.EXIT_INPUT
+        assert not (tmp_path / "gen.jsonl").exists()
         assert not (tmp_path / "gen.jsonl.manifest.json").exists()
         assert [p.name for p in tmp_path.iterdir()] == ["with_long.jsonl"]
+
+    def test_failed_run_leaves_existing_files_alone(self, workspace, tmp_path):
+        for name in ("gen.jsonl", "gen.jsonl.tmp"):
+            (tmp_path / name).write_text(f"kept {name}\n", encoding="utf-8")
+        assert self._generate_with_oversized_last_context(workspace, tmp_path) == cli.EXIT_INPUT
+        for name in ("gen.jsonl", "gen.jsonl.tmp"):
+            assert (tmp_path / name).read_text(encoding="utf-8") == f"kept {name}\n"
 
     def test_vocab_size_mismatch_exits_2(self, workspace, tmp_path):
         small = str(tmp_path / "small_vocab.txt")

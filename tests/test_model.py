@@ -108,7 +108,7 @@ class TestDecodeStep:
     def test_distributions_are_normalized(self):
         m = toy_model()
         enc = m.encode_context([5, 6, 7], [0, 1, 0])
-        step = m.decode_step([[2, 5]], enc).row(0)
+        step = m.decode_step([2, 5], enc)
         assert step.final_dist.sum() == pytest.approx(1.0, abs=1e-6)
         assert step.vocab_dist.sum() == pytest.approx(1.0, abs=1e-6)
         assert step.copy_attn.sum() == pytest.approx(1.0, abs=1e-6)
@@ -126,18 +126,18 @@ class TestDecodeStep:
         m = toy_model()
         enc = m.encode_context([5, 6], [1, 0])
         with pytest.raises(QuestionTooLong):
-            m.decode_step([[2] + [5] * (TOY["max_question"] + 1)], enc)
+            m.decode_step([2] + [5] * (TOY["max_question"] + 1), enc)
 
     def test_empty_prefix_rejected(self):
         m = toy_model()
         enc = m.encode_context([5, 6], [1, 0])
         with pytest.raises(ConfigError):
-            m.decode_step([[]], enc)
+            m.decode_step([], enc)
 
     def test_no_pointer_final_equals_vocab(self):
         m = toy_model(use_pointer=False)
         enc = m.encode_context([5, 6, 7], [0, 1, 0])
-        step = m.decode_step([[2, 5]], enc).row(0)
+        step = m.decode_step([2, 5], enc)
         assert step.p_gen == 1.0
         assert np.array_equal(step.final_dist, step.vocab_dist)
 
@@ -154,8 +154,21 @@ class TestDecodeStep:
 
 class TestIncrementalDecoding:
     # Parents of each step's prefixes, step by step (cycled): duplicates,
-    # swaps, and batches that shrink and regrow as hypotheses finish.
+    # swaps, and steps that shrink and regrow as hypotheses finish.
     PARENTS = [[0, 0, 0], [2, 0, 1], [1, 1], [1, 0, 0], [0, 2], [1, 0, 1]]
+
+    def _context(self, m, rng):
+        n = int(rng.integers(3, TOY["max_context"] + 1))
+        return m.encode_context(
+            rng.integers(4, TOY["vocab_size"], size=n).tolist(),
+            rng.integers(0, 2, size=n).tolist(),
+        )
+
+    def _children(self, prefixes, t, rng):
+        return [
+            prefixes[i] + [int(rng.integers(TOY["vocab_size"]))]
+            for i in self.PARENTS[t % len(self.PARENTS)]
+        ]
 
     @pytest.mark.parametrize(
         "overrides",
@@ -166,33 +179,24 @@ class TestIncrementalDecoding:
         for seed in range(3):
             m = toy_model(seed=seed, **{"decoder_lm_layers": 2, "cross_layers": 2, **overrides})
             rng = np.random.default_rng(seed)
-            n = int(rng.integers(3, TOY["max_context"] + 1))
-            enc = m.encode_context(
-                rng.integers(4, TOY["vocab_size"], size=n).tolist(),
-                rng.integers(0, 2, size=n).tolist(),
-            )
+            enc = self._context(m, rng)
             prefixes, parents = [[2]], []
             for t in range(TOY["max_question"] + 1):
-                step = m.decode_step(prefixes, enc)
-                assert set(enc.self_kv) == {tuple(p) for p in prefixes + parents}
-                for prefix, row in zip(prefixes, step.final_dist):
+                for prefix in prefixes:
+                    got = m.decode_step(prefix, enc).final_dist
                     with nm.no_grad():
                         want = m.sequence_distributions(prefix, enc).data[-1]
-                    assert np.max(np.abs(row - want)) <= 1e-12
-                parents, prefixes = prefixes, [
-                    prefixes[i] + [int(rng.integers(TOY["vocab_size"]))]
-                    for i in self.PARENTS[t % len(self.PARENTS)]
-                ]
+                    assert np.max(np.abs(got - want)) <= 1e-12
+                assert set(enc.self_kv) == {tuple(p) for p in prefixes + parents}
+                parents, prefixes = prefixes, self._children(prefixes, t, rng)
 
-    def test_next_distributions_reads_every_parent_from_the_cache(self):
-        # One decode_step per prefix: a later prefix of a step still finds
-        # its parent, so the decoder only ever runs one new token.
+    def test_each_step_runs_one_new_token_per_prefix(self):
         m = toy_model(seed=5, decoder_lm_layers=2, cross_layers=2)
         enc = m.encode_context([5, 6, 7, 8, 9], [0, 1, 1, 0, 1])
         decoder, new_tokens = m._decoder, []
 
         def counting(ids, *args):
-            new_tokens.append(np.shape(ids)[-1])
+            new_tokens.append(np.size(ids))
             return decoder(ids, *args)
 
         m._decoder = counting
@@ -206,25 +210,16 @@ class TestIncrementalDecoding:
                 with nm.no_grad():
                     want = m.sequence_distributions(prefix, enc).data[-1]
                 assert np.max(np.abs(row - want)) <= 1e-12
-            prefixes = [
-                prefixes[i] + [int(rng.integers(TOY["vocab_size"]))]
-                for i in self.PARENTS[t % len(self.PARENTS)]
-            ]
+            prefixes = self._children(prefixes, t, rng)
 
     def test_cache_miss_matches_cached_step(self):
         m = toy_model(seed=4)
         enc = m.encode_context([5, 6, 7, 8], [0, 1, 1, 0])
         for prefix in ([2], [2, 9], [2, 9, 11]):
-            cached = m.decode_step([prefix], enc).final_dist
+            cached = m.decode_step(prefix, enc).final_dist
         fresh = m.encode_context([5, 6, 7, 8], [0, 1, 1, 0])
-        missed = m.decode_step([[2, 9, 11]], fresh).final_dist
+        missed = m.decode_step([2, 9, 11], fresh).final_dist
         assert np.max(np.abs(cached - missed)) <= 1e-12
-
-    def test_unequal_prefix_lengths_rejected(self):
-        m = toy_model()
-        enc = m.encode_context([5, 6], [1, 0])
-        with pytest.raises(ConfigError):
-            m.decode_step([[2, 5], [2]], enc)
 
 
 class TestGenerationGate:
@@ -233,7 +228,7 @@ class TestGenerationGate:
         m.params["gate.w"].data[:] = 0.0
         m.params["gate.b"].data[:] = 0.0
         d = TOY["d_model"]
-        p = m.generation_gate(nm.Tensor(np.ones((1, d))), nm.Tensor(np.ones((1, d)))).data[0, 0]
+        p = m.generation_gate(nm.Tensor(np.ones(d)), nm.Tensor(np.ones(d))).item()
         assert p == pytest.approx(0.5)
 
     def test_large_bias_saturates(self):
@@ -241,9 +236,9 @@ class TestGenerationGate:
         m.params["gate.w"].data[:] = 0.0
         d = TOY["d_model"]
         m.params["gate.b"].data[:] = 30.0
-        hi = m.generation_gate(nm.Tensor(np.zeros((1, d))), nm.Tensor(np.zeros((1, d)))).data[0, 0]
+        hi = m.generation_gate(nm.Tensor(np.zeros(d)), nm.Tensor(np.zeros(d))).item()
         m.params["gate.b"].data[:] = -30.0
-        lo = m.generation_gate(nm.Tensor(np.zeros((1, d))), nm.Tensor(np.zeros((1, d)))).data[0, 0]
+        lo = m.generation_gate(nm.Tensor(np.zeros(d)), nm.Tensor(np.zeros(d))).item()
         assert hi == pytest.approx(1.0, abs=1e-12)
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert 0.0 < lo and hi < 1.0
@@ -251,7 +246,7 @@ class TestGenerationGate:
 
 class TestOutputDistribution:
     def _step(self, m, enc, prefix=(2, 5)):
-        return m.decode_step([list(prefix)], enc).row(0)
+        return m.decode_step(list(prefix), enc)
 
     def test_pure_generation_endpoint(self):
         m = toy_model()
@@ -271,6 +266,12 @@ class TestOutputDistribution:
         assert final[9] == pytest.approx(0.7)
         assert final.sum() == pytest.approx(1.0)
         assert np.count_nonzero(final) == 2
+
+    def test_reproduces_the_decode_step_mixture(self):
+        m = toy_model()
+        enc = m.encode_context([5, 8, 5], [1, 0, 0])
+        step = self._step(m, enc)
+        assert np.array_equal(output_distribution(step, enc.context_ids), step.final_dist)
 
     def test_repeated_token_mass_accumulates(self):
         m = toy_model()
