@@ -128,6 +128,16 @@ ratios = json.load(open("unanimity.json", encoding="utf-8"))
 assert ratios["span"]["n_unanimous"] == 2, ratios
 EOF
 
+echo "== every manifest records a numeric wall time"
+python3 -c '
+import glob, json
+paths = sorted(glob.glob("**/*.manifest.json", recursive=True))
+assert len(paths) == 8, paths
+for path in paths:
+    wall = json.load(open(path, encoding="utf-8"))["wall_seconds"]
+    assert isinstance(wall, (int, float)) and wall > 0, (path, wall)
+'
+
 echo "== exit codes"
 rc=0; sqgen build-vocab --input missing.txt --output v.txt || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 for missing input, got $rc"; exit 1; }

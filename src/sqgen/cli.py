@@ -6,22 +6,22 @@
     sqgen generate      beam / nucleus / greedy question generation
     sqgen eval          gen (overlap metrics), qa (scorer-based), correlate
 
-Every artifact-producing command drops a `<output>.manifest.json` recording
-the command line, inputs, outputs, seed, and code version. Exit codes:
-0 success, 2 input error, 3 numerical failure. The SQGEN_THREADS environment
-variable caps worker threads for data preparation.
+Every command that succeeds drops a `<output>.manifest.json` recording the
+command line, inputs, outputs, seed, settings, wall time and code version.
+Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import html
 import json
 import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from . import corpus, decoding, genmetrics, qaeval, textproc, training
@@ -32,14 +32,6 @@ from .qaeval import AnnotationRecord, JointQaScorer, LexicalOverlapScorer
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-
-def max_threads() -> int:
-    """Worker-thread cap from SQGEN_THREADS (default 1 = sequential)."""
-    try:
-        return max(1, int(os.environ.get("SQGEN_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _git_describe() -> str:
@@ -83,6 +75,17 @@ def write_manifest(
     return path
 
 
+@dataclass
+class Done:
+    """What a command that succeeded hands `main` for its manifest."""
+
+    output_path: str  # the manifest goes to <output_path>.manifest.json
+    inputs: list[str]
+    outputs: list[str]
+    seed: int | None = None
+    settings: dict | None = None
+
+
 # -- shared plumbing -----------------------------------------------------------
 
 
@@ -104,20 +107,20 @@ def _setting(args: argparse.Namespace, name: str, default):
     return args._file_config.get(name, default)
 
 
-def _read_jsonl(path: str) -> list[dict]:
-    rows = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
-    return rows
+def _csv_writer(f):
+    """Every CSV the CLI writes ends its rows in a bare newline."""
+    return csv.writer(f, lineterminator="\n")
+
+
+def _question_row(obj: dict) -> tuple[str, str]:
+    """(id, question_text) of one row of `generate`'s output format."""
+    return str(obj["id"]), corpus.text_field(obj, "question_text")
 
 
 # -- subcommands -----------------------------------------------------------------
 
 
-def cmd_build_vocab(args: argparse.Namespace) -> int:
+def cmd_build_vocab(args: argparse.Namespace) -> Done:
     size = _setting(args, "size", textproc.DEFAULT_VOCAB_SIZE)
     lines: list[str] = []
     if args.kind == "nq":
@@ -132,37 +135,27 @@ def cmd_build_vocab(args: argparse.Namespace) -> int:
             lines = f.read().splitlines()
     vocab = textproc.train_vocab(lines, target_size=size)
     textproc.save_vocab(vocab, args.output)
-    write_manifest(
-        args.output, "build-vocab", sys.argv[1:], [args.input], [args.output],
-        seed=None, settings={"size": size, "kind": args.kind},
-    )
     print(f"vocab of {len(vocab)} tokens -> {args.output}", file=sys.stderr)
-    return EXIT_OK
+    return Done(args.output, [args.input], [args.output],
+                settings={"size": size, "kind": args.kind})
 
 
-def cmd_prepare(args: argparse.Namespace) -> int:
+def cmd_prepare(args: argparse.Namespace) -> Done:
     vocab = textproc.load_vocab(args.vocab)
     max_context = _setting(args, "max_context", corpus.MAX_CONTEXT_TOKENS)
     max_question = _setting(args, "max_question", corpus.MAX_QUESTION_TOKENS)
 
     if args.kind == "nq":
-        records = list(corpus.read_raw_records(args.input))
-        work = lambda rec: corpus.prepare_example(
-            rec, vocab, max_context=max_context, max_question=max_question
-        )
+        results = [
+            corpus.prepare_example(rec, vocab, max_context=max_context, max_question=max_question)
+            for rec in corpus.read_raw_records(args.input)
+        ]
     else:
-        news = list(corpus.read_news_records(args.input))
-        records = news
-        work = lambda item: corpus.prepare_news(
-            item[1], vocab, article_id=item[0], max_tokens=min(max_context, corpus.MAX_NEWS_TOKENS)
-        )
-
-    threads = max_threads()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, records))
-    else:
-        results = [work(r) for r in records]
+        max_tokens = min(max_context, corpus.MAX_NEWS_TOKENS)
+        results = [
+            corpus.prepare_news(article, vocab, article_id=rid, max_tokens=max_tokens)
+            for rid, article, _ in corpus.read_news_records(args.input)
+        ]
 
     kept = [r for r in results if isinstance(r, corpus.PreparedExample)]
     rejected: dict[str, int] = {}
@@ -171,9 +164,12 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             rejected[r.reason] = rejected.get(r.reason, 0) + 1
 
     corpus.write_prepared(kept, args.output)
-    write_manifest(
-        args.output, "prepare", sys.argv[1:], [args.input, args.vocab], [args.output],
-        seed=None,
+    print(
+        f"kept {len(kept)} / {len(results)}; rejections: {json.dumps(rejected, sort_keys=True)}",
+        file=sys.stderr,
+    )
+    return Done(
+        args.output, [args.input, args.vocab], [args.output],
         settings={
             "kind": args.kind,
             "max_context": max_context,
@@ -182,11 +178,6 @@ def cmd_prepare(args: argparse.Namespace) -> int:
             "rejected": rejected,
         },
     )
-    print(
-        f"kept {len(kept)} / {len(results)}; rejections: {json.dumps(rejected, sort_keys=True)}",
-        file=sys.stderr,
-    )
-    return EXIT_OK
 
 
 def _model_config_from_args(args: argparse.Namespace, vocab_size: int) -> ModelConfig:
@@ -206,8 +197,7 @@ def _model_config_from_args(args: argparse.Namespace, vocab_size: int) -> ModelC
     )
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def cmd_train(args: argparse.Namespace) -> Done:
     vocab = textproc.load_vocab(args.vocab)
     examples = corpus.read_prepared(args.data)
     if not examples:
@@ -233,25 +223,20 @@ def cmd_train(args: argparse.Namespace) -> int:
     result = training.train(
         model, split, cfg, checkpoint_dir=args.out_dir, log_path=log_path
     )
-    write_manifest(
-        os.path.join(args.out_dir, "train"),
-        "train",
-        sys.argv[1:],
-        [args.data, args.vocab] + ([args.dev] if args.dev else []),
-        [os.path.join(args.out_dir, "best.ckpt"), log_path],
-        seed=seed,
-        settings={"model": asdict(config), "train": asdict(cfg)},
-        wall_seconds=time.monotonic() - t0,
-    )
     print(
         f"best epoch {result.best_epoch} dev_perplexity {result.best_dev_perplexity:.4f}",
         file=sys.stderr,
     )
-    return EXIT_OK
+    return Done(
+        os.path.join(args.out_dir, "train"),
+        [args.data, args.vocab] + ([args.dev] if args.dev else []),
+        [os.path.join(args.out_dir, "best.ckpt"), log_path],
+        seed=seed,
+        settings={"model": asdict(config), "train": asdict(cfg)},
+    )
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    t0 = time.monotonic()
+def cmd_generate(args: argparse.Namespace) -> Done:
     vocab = textproc.load_vocab(args.vocab)
     model = BertPgn.from_checkpoint(args.checkpoint)
     if model.config.vocab_size != len(vocab):
@@ -298,23 +283,20 @@ def cmd_generate(args: argparse.Namespace) -> int:
                 )
                 + "\n"
             )
-    write_manifest(
-        args.output, "generate", sys.argv[1:],
-        [args.checkpoint, args.data, args.vocab], [args.output],
+    return Done(
+        args.output, [args.checkpoint, args.data, args.vocab], [args.output],
         seed=seed,
         settings={
             "mode": args.mode, "beam": beam, "top_p": top_p,
             "temperature": temperature, "max_question": max_len,
             "reached_eos": sum(hyp.finished for _, hyp in rows),
         },
-        wall_seconds=time.monotonic() - t0,
     )
-    return EXIT_OK
 
 
-def _eval_gen(args: argparse.Namespace) -> int:
+def _eval_gen(args: argparse.Namespace) -> Done:
     vocab = textproc.load_vocab(args.vocab)
-    cands = _read_jsonl(args.candidates)
+    cands = corpus.read_jsonl(args.candidates, _question_row)
     prepared = corpus.read_prepared(args.references)
     refs_by_id: dict[str, list[list[str]]] = {}
     for ex in prepared:
@@ -325,12 +307,11 @@ def _eval_gen(args: argparse.Namespace) -> int:
     candidates: list[list[str]] = []
     references: list[list[list[str]]] = []
     ids: list[str] = []
-    for row in cands:
-        rid = str(row["id"])
+    for rid, text in cands:
         if rid not in refs_by_id:
             raise ValueError(f"candidate {rid} has no reference question")
         ids.append(rid)
-        candidates.append(genmetrics.tokenize(row["question_text"]))
+        candidates.append(genmetrics.tokenize(text))
         references.append(refs_by_id[rid])
 
     report = genmetrics.corpus_report(candidates, references)
@@ -345,27 +326,28 @@ def _eval_gen(args: argparse.Namespace) -> int:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
     if args.per_example:
-        with open(args.per_example, "w", encoding="utf-8") as f:
-            f.write("id,bleu1,bleu4,rouge_l,meteor_lite\n")
+        with open(args.per_example, "w", encoding="utf-8", newline="") as f:
+            out = _csv_writer(f)
+            out.writerow(["id", "bleu1", "bleu4", "rouge_l", "meteor_lite"])
             for rid, cand, refs in zip(ids, candidates, references):
-                b1 = genmetrics.bleu([cand], [refs], max_n=1) * 100.0
-                b4 = genmetrics.bleu([cand], [refs], max_n=4) * 100.0
-                rl = genmetrics.rouge_l(cand, refs) * 100.0
-                ml = max(genmetrics.meteor_lite(cand, ref) for ref in refs) * 100.0
-                f.write(f"{rid},{b1!r},{b4!r},{rl!r},{ml!r}\n")
-    write_manifest(
-        args.output, "eval gen", sys.argv[1:],
-        [args.candidates, args.references, args.vocab],
-        [args.output] + ([args.per_example] if args.per_example else []),
-        seed=None, settings=payload,
-    )
+                out.writerow([
+                    rid,
+                    genmetrics.bleu([cand], [refs], max_n=1) * 100.0,
+                    genmetrics.bleu([cand], [refs], max_n=4) * 100.0,
+                    genmetrics.rouge_l(cand, refs) * 100.0,
+                    max(genmetrics.meteor_lite(cand, ref) for ref in refs) * 100.0,
+                ])
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    return EXIT_OK
+    return Done(
+        args.output, [args.candidates, args.references, args.vocab],
+        [args.output] + ([args.per_example] if args.per_example else []),
+        settings=payload,
+    )
 
 
-def _eval_qa(args: argparse.Namespace) -> int:
+def _eval_qa(args: argparse.Namespace) -> Done:
     vocab = textproc.load_vocab(args.vocab)
-    questions = _read_jsonl(args.questions)
+    questions = corpus.read_jsonl(args.questions, _question_row)
     contexts: dict[str, list[int]] = {}
     for cid, article, highlights in corpus.read_news_records(args.contexts):
         source = corpus.clean_article(article) if args.context_source == "article" else highlights
@@ -380,27 +362,27 @@ def _eval_qa(args: argparse.Namespace) -> int:
 
     tag = args.model_tag
     rows: list[tuple[str, float, float]] = []
-    for row in questions:
-        rid = str(row["id"])
+    for rid, text in questions:
         if rid not in contexts:
             raise ValueError(f"question {rid} has no context")
-        q_ids = textproc.encode(row["question_text"], vocab)
+        q_ids = textproc.encode(text, vocab)
         scores = qaeval.qa_score(scorer, q_ids, contexts[rid])
         rows.append((rid, scores.answerability, scores.granularity))
 
     scatter_csv = args.output_prefix + "_scatter.csv"
-    with open(scatter_csv, "w", encoding="utf-8") as f:
-        f.write("id,s_ans,s_gra,model_tag\n")
-        for rid, ans, gra in rows:
-            f.write(f"{rid},{ans!r},{gra!r},{tag}\n")
+    with open(scatter_csv, "w", encoding="utf-8", newline="") as f:
+        out = _csv_writer(f)
+        out.writerow(["id", "s_ans", "s_gra", "model_tag"])
+        out.writerows([rid, ans, gra, tag] for rid, ans, gra in rows)
 
     means_csv = args.output_prefix + "_means.csv"
-    with open(means_csv, "w", encoding="utf-8") as f:
-        f.write("model_tag,mean_s_ans,mean_s_gra,n\n")
+    with open(means_csv, "w", encoding="utf-8", newline="") as f:
+        out = _csv_writer(f)
+        out.writerow(["model_tag", "mean_s_ans", "mean_s_gra", "n"])
         if rows:
             mean_ans = sum(r[1] for r in rows) / len(rows)
             mean_gra = sum(r[2] for r in rows) / len(rows)
-            f.write(f"{tag},{mean_ans!r},{mean_gra!r},{len(rows)}\n")
+            out.writerow([tag, mean_ans, mean_gra, len(rows)])
 
     svg_path = args.output_prefix + "_scatter.svg"
     scatter_svg(
@@ -410,37 +392,30 @@ def _eval_qa(args: argparse.Namespace) -> int:
         ylabel="granularity",
         title=tag,
     )
-    write_manifest(
-        scatter_csv, "eval qa", sys.argv[1:],
-        [args.questions, args.contexts, args.vocab],
+    return Done(
+        scatter_csv, [args.questions, args.contexts, args.vocab],
         [scatter_csv, means_csv, svg_path],
-        seed=None,
         settings={"scorer": args.scorer, "context_source": args.context_source, "n": len(rows)},
     )
-    return EXIT_OK
 
 
-def _eval_correlate(args: argparse.Namespace) -> int:
+def _eval_correlate(args: argparse.Namespace) -> Done:
     scores: dict[str, tuple[float, float]] = {}
-    with open(args.scores, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        idx = {name: i for i, name in enumerate(header)}
-        for line in f:
-            parts = line.strip().split(",")
-            if len(parts) < 3:
-                continue
-            scores[parts[idx["id"]]] = (
-                float(parts[idx["s_ans"]]),
-                float(parts[idx["s_gra"]]),
-            )
-    annotations = [
-        AnnotationRecord(
-            article_id=str(row["article_id"]),
-            annotator_id=str(row["annotator_id"]),
-            flags={k: bool(v) for k, v in row["flags"].items()},
-        )
-        for row in _read_jsonl(args.annotations)
-    ]
+    with open(args.scores, encoding="utf-8", newline="") as f:
+        reader = csv.DictReader(f)
+        for row in reader:
+            try:
+                scores[row["id"]] = (float(row["s_ans"]), float(row["s_gra"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise corpus.row_error(args.scores, reader.line_num, exc) from exc
+    annotations = list(corpus.read_jsonl(
+        args.annotations,
+        lambda obj: AnnotationRecord(
+            article_id=str(obj["article_id"]),
+            annotator_id=str(obj["annotator_id"]),
+            flags={k: bool(v) for k, v in dict(obj["flags"]).items()},
+        ),
+    ))
     report = qaeval.correlation_report(scores, annotations)
     with open(args.output, "w", encoding="utf-8") as f:
         json.dump(report, f, indent=2, sort_keys=True)
@@ -458,21 +433,10 @@ def _eval_correlate(args: argparse.Namespace) -> int:
         with open(args.unanimity_output, "w", encoding="utf-8") as f:
             json.dump(payload, f, indent=2, sort_keys=True)
             f.write("\n")
-    write_manifest(
-        args.output, "eval correlate", sys.argv[1:],
-        [args.scores, args.annotations],
+    return Done(
+        args.output, [args.scores, args.annotations],
         [args.output] + ([args.unanimity_output] if args.unanimity_output else []),
-        seed=None,
     )
-    return EXIT_OK
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    if args.eval_kind == "gen":
-        return _eval_gen(args)
-    if args.eval_kind == "qa":
-        return _eval_qa(args)
-    return _eval_correlate(args)
 
 
 # -- plotting -----------------------------------------------------------------
@@ -488,6 +452,7 @@ def scatter_svg(
     height: int = 480,
 ) -> None:
     """Write a self-contained static SVG scatter plot (no plotting library)."""
+    xlabel, ylabel, title = (html.escape(t, quote=False) for t in (xlabel, ylabel, title))
     margin = 60
     if points:
         xs = [p[0] for p in points]
@@ -638,7 +603,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--vocab", required=True)
     g.add_argument("--output", required=True)
     g.add_argument("--per-example", dest="per_example", default=None)
-    g.set_defaults(func=cmd_eval)
+    g.set_defaults(func=_eval_gen)
 
     q = esub.add_parser("qa", help="answerability/granularity scoring")
     q.add_argument("--questions", required=True)
@@ -654,14 +619,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--scorer", choices=("lexical", "joint"), default="lexical")
     q.add_argument("--scorer-ckpt", dest="scorer_ckpt", default=None)
     q.add_argument("--model-tag", dest="model_tag", default="model")
-    q.set_defaults(func=cmd_eval)
+    q.set_defaults(func=_eval_qa)
 
     c = esub.add_parser("correlate", help="flags vs scores correlation report")
     c.add_argument("--scores", required=True)
     c.add_argument("--annotations", required=True)
     c.add_argument("--output", required=True)
     c.add_argument("--unanimity-output", dest="unanimity_output", default=None)
-    c.set_defaults(func=cmd_eval)
+    c.set_defaults(func=_eval_correlate)
 
     return parser
 
@@ -677,15 +642,24 @@ NUMERIC_ERRORS = (ArithmeticError,)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; on success write its manifest, timed from the
+    command's start to its end."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    command = f"eval {args.eval_kind}" if args.command == "eval" else args.command
     try:
         args._file_config = _load_config_file(args.config)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        t0 = time.monotonic()
+        done = args.func(args)
+        write_manifest(
+            done.output_path, command, argv, done.inputs, done.outputs, done.seed,
+            done.settings, wall_seconds=time.monotonic() - t0,
+        )
+        return EXIT_OK
     except NUMERIC_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

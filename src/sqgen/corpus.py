@@ -13,7 +13,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from . import textproc
 from .textproc import Vocab
@@ -30,6 +30,8 @@ MAX_NEWS_TOKENS = 490
 
 NEWS_SOURCE_MARK = "(CNN)"
 HIGHLIGHT_MARK = "@highlight"
+
+T = TypeVar("T")
 
 
 class InvalidSpans(ValueError):
@@ -241,32 +243,63 @@ def dataset_stats(examples: list[PreparedExample]) -> DatasetStats:
 # -- wire formats ------------------------------------------------------------
 
 
-def read_raw_records(path: str) -> Iterator[RawRecord]:
+def row_error(path: str, line: int, exc: Exception) -> ValueError:
+    """The error for a malformed input row, naming the file and the line."""
+    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{path}:{line}: {reason}")
+
+
+def read_jsonl(path: str, build: Callable[[dict], T]) -> Iterator[T]:
+    """Yield `build(obj)` for each JSON object line of a file; blank lines
+    are skipped. A line that is not JSON, not an object, or that `build`
+    rejects with a KeyError, TypeError or ValueError raises a ValueError
+    that starts with `path:line`."""
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for n, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            yield RawRecord(
-                id=str(obj["id"]),
-                title=obj.get("title", ""),
-                question=obj.get("question", ""),
-                context=obj["context"],
-                short_spans=[(int(s), int(e)) for s, e in obj.get("short_spans", [])],
-                starts_with_paragraph_tag=bool(obj.get("p_tag", True)),
-            )
+            try:
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+                item = build(obj)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise row_error(path, n, exc) from exc
+            yield item
+
+
+def text_field(obj: dict, key: str, default: str | None = None) -> str:
+    """obj[key] (or `default` when absent and given), which must be a string."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if not isinstance(value, str):
+        raise TypeError(f"field {key!r} must be a string")
+    return value
+
+
+def _raw_record(obj: dict) -> RawRecord:
+    return RawRecord(
+        id=str(obj["id"]),
+        title=text_field(obj, "title", ""),
+        question=text_field(obj, "question", ""),
+        context=text_field(obj, "context"),
+        short_spans=[(int(s), int(e)) for s, e in obj.get("short_spans", [])],
+        starts_with_paragraph_tag=bool(obj.get("p_tag", True)),
+    )
+
+
+def read_raw_records(path: str) -> Iterator[RawRecord]:
+    return read_jsonl(path, _raw_record)
 
 
 def read_news_records(path: str) -> Iterator[tuple[str, str, str]]:
     """Yield (id, article, highlights) from a news JSONL file."""
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            yield str(obj["id"]), obj["article"], obj.get("highlights", "")
+    return read_jsonl(
+        path,
+        lambda obj: (
+            str(obj["id"]), text_field(obj, "article"), text_field(obj, "highlights", "")
+        ),
+    )
 
 
 def write_prepared(examples: Iterable[PreparedExample], path: str) -> None:
@@ -287,21 +320,15 @@ def write_prepared(examples: Iterable[PreparedExample], path: str) -> None:
             )
 
 
+def _prepared_example(obj: dict) -> PreparedExample:
+    return PreparedExample(
+        id=str(obj["id"]),
+        context_ids=[int(i) for i in obj["context_ids"]],
+        type_ids=[int(i) for i in obj["type_ids"]],
+        question_ids=[int(i) for i in obj["question_ids"]],
+        answer_kind=obj["answer_kind"],
+    )
+
+
 def read_prepared(path: str) -> list[PreparedExample]:
-    out: list[PreparedExample] = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append(
-                PreparedExample(
-                    id=str(obj["id"]),
-                    context_ids=[int(i) for i in obj["context_ids"]],
-                    type_ids=[int(i) for i in obj["type_ids"]],
-                    question_ids=[int(i) for i in obj["question_ids"]],
-                    answer_kind=obj["answer_kind"],
-                )
-            )
-    return out
+    return list(read_jsonl(path, _prepared_example))

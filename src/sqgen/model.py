@@ -127,71 +127,79 @@ class DecoderStepOutput:
     final_dist: np.ndarray
 
 
-def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Fresh parameters: N(0, 0.02) weights, zero biases, unit LN gains.
+class ParamBuilder:
+    """Named parameters drawn from one seeded generator in call order:
+    N(0, 0.02) weights, zero biases, unit LN gains. `block` is the post-norm
+    transformer block that `_block` runs: attn, ln1, ffn, ln2.
 
     Creation order is fixed, so a given seed always yields the same bytes.
     """
-    rng = np.random.default_rng(seed)
-    params: dict[str, Tensor] = {}
 
-    def w(name: str, shape: tuple[int, ...]) -> None:
-        params[name] = Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
+    def __init__(self, seed: int, d_model: int, ffn_dim: int):
+        self.rng = np.random.default_rng(seed)
+        self.d, self.f = d_model, ffn_dim
+        self.params: dict[str, Tensor] = {}
 
-    def b(name: str, shape: tuple[int, ...]) -> None:
-        params[name] = Tensor(np.zeros(shape), requires_grad=True)
+    def w(self, name: str, shape: tuple[int, ...]) -> None:
+        self.params[name] = Tensor(self.rng.normal(0.0, 0.02, shape), requires_grad=True)
 
-    def ln(prefix: str, dim: int) -> None:
-        params[f"{prefix}.g"] = Tensor(np.ones(dim), requires_grad=True)
-        params[f"{prefix}.b"] = Tensor(np.zeros(dim), requires_grad=True)
+    def b(self, name: str, shape: tuple[int, ...]) -> None:
+        self.params[name] = Tensor(np.zeros(shape), requires_grad=True)
 
-    d, f = config.d_model, config.ffn_dim
+    def ln(self, prefix: str) -> None:
+        self.params[f"{prefix}.g"] = Tensor(np.ones(self.d), requires_grad=True)
+        self.params[f"{prefix}.b"] = Tensor(np.zeros(self.d), requires_grad=True)
 
-    def attn(prefix: str) -> None:
+    def attn(self, prefix: str) -> None:
         for part in ("wq", "wk", "wv", "wo"):
-            w(f"{prefix}.{part}", (d, d))
+            self.w(f"{prefix}.{part}", (self.d, self.d))
         for part in ("bq", "bk", "bv", "bo"):
-            b(f"{prefix}.{part}", (d,))
+            self.b(f"{prefix}.{part}", (self.d,))
 
-    def ffn(prefix: str) -> None:
-        w(f"{prefix}.w1", (d, f))
-        b(f"{prefix}.b1", (f,))
-        w(f"{prefix}.w2", (f, d))
-        b(f"{prefix}.b2", (d,))
+    def ffn(self, prefix: str) -> None:
+        self.w(f"{prefix}.w1", (self.d, self.f))
+        self.b(f"{prefix}.b1", (self.f,))
+        self.w(f"{prefix}.w2", (self.f, self.d))
+        self.b(f"{prefix}.b2", (self.d,))
 
-    def block(prefix: str) -> None:
-        attn(f"{prefix}.attn")
-        ln(f"{prefix}.ln1", d)
-        ffn(f"{prefix}.ffn")
-        ln(f"{prefix}.ln2", d)
+    def block(self, prefix: str) -> None:
+        self.attn(f"{prefix}.attn")
+        self.ln(f"{prefix}.ln1")
+        self.ffn(f"{prefix}.ffn")
+        self.ln(f"{prefix}.ln2")
 
-    w("enc.word_emb", (config.vocab_size, d))
-    w("enc.pos_emb", (config.max_context, d))
+
+def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
+    """Fresh parameters for `config`, seeded (see `ParamBuilder`)."""
+    p = ParamBuilder(seed, config.d_model, config.ffn_dim)
+    d = config.d_model
+    p.w("enc.word_emb", (config.vocab_size, d))
+    p.w("enc.pos_emb", (config.max_context, d))
     if config.use_type_ids:
-        w("enc.type_emb", (2, d))
+        p.w("enc.type_emb", (2, d))
     for i in range(config.encoder_layers):
-        block(f"enc.b{i}")
+        p.block(f"enc.b{i}")
 
-    w("dec.word_emb", (config.vocab_size, d))
-    w("dec.pos_emb", (config.max_question + 1, d))
+    p.w("dec.word_emb", (config.vocab_size, d))
+    p.w("dec.pos_emb", (config.max_question + 1, d))
     if config.use_decoder_lm:
         for i in range(config.decoder_lm_layers):
-            block(f"lm.b{i}")
+            p.block(f"lm.b{i}")
 
     for i in range(config.cross_layers):
-        attn(f"cross.b{i}.self")
-        ln(f"cross.b{i}.ln1", d)
-        attn(f"cross.b{i}.xattn")
-        ln(f"cross.b{i}.ln2", d)
-        ffn(f"cross.b{i}.ffn")
-        ln(f"cross.b{i}.ln3", d)
+        p.attn(f"cross.b{i}.self")
+        p.ln(f"cross.b{i}.ln1")
+        p.attn(f"cross.b{i}.xattn")
+        p.ln(f"cross.b{i}.ln2")
+        p.ffn(f"cross.b{i}.ffn")
+        p.ln(f"cross.b{i}.ln3")
 
-    w("out.w", (d, config.vocab_size))
-    b("out.b", (config.vocab_size,))
+    p.w("out.w", (d, config.vocab_size))
+    p.b("out.b", (config.vocab_size,))
     if config.use_pointer:
-        w("gate.w", (2 * d, 1))
-        b("gate.b", (1,))
-    return params
+        p.w("gate.w", (2 * d, 1))
+        p.b("gate.b", (1,))
+    return p.params
 
 
 def _self_attention(params, prefix: str, x: Tensor, n_heads: int, mask=None, past=None):

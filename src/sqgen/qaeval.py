@@ -23,7 +23,7 @@ from typing import Protocol
 import numpy as np
 
 from . import numerics as nm
-from .model import _block, load_checkpoint, save_checkpoint
+from .model import ParamBuilder, _block, load_checkpoint, save_checkpoint
 from .numerics import ConfigError, Tensor
 from .textproc import BOS_ID, EOS_ID
 
@@ -359,41 +359,17 @@ class JointQaScorer:
         self.params = params if params is not None else self._init_params(seed)
 
     def _init_params(self, seed: int) -> dict[str, Tensor]:
-        rng = np.random.default_rng(seed)
         c = self.config
-        params: dict[str, Tensor] = {}
-
-        def w(name: str, shape) -> None:
-            params[name] = Tensor(rng.normal(0.0, 0.02, shape), requires_grad=True)
-
-        def b(name: str, shape) -> None:
-            params[name] = Tensor(np.zeros(shape), requires_grad=True)
-
-        def ln(prefix: str) -> None:
-            params[f"{prefix}.g"] = Tensor(np.ones(c.d_model), requires_grad=True)
-            params[f"{prefix}.b"] = Tensor(np.zeros(c.d_model), requires_grad=True)
-
-        w("word_emb", (c.vocab_size, c.d_model))
-        w("pos_emb", (c.max_seq, c.d_model))
-        w("seg_emb", (2, c.d_model))
+        p = ParamBuilder(seed, c.d_model, c.ffn_dim)
+        p.w("word_emb", (c.vocab_size, c.d_model))
+        p.w("pos_emb", (c.max_seq, c.d_model))
+        p.w("seg_emb", (2, c.d_model))
         for i in range(c.layers):
-            for part in ("wq", "wk", "wv", "wo"):
-                w(f"b{i}.attn.{part}", (c.d_model, c.d_model))
-            for part in ("bq", "bk", "bv", "bo"):
-                b(f"b{i}.attn.{part}", (c.d_model,))
-            ln(f"b{i}.ln1")
-            w(f"b{i}.ffn.w1", (c.d_model, c.ffn_dim))
-            b(f"b{i}.ffn.b1", (c.ffn_dim,))
-            w(f"b{i}.ffn.w2", (c.ffn_dim, c.d_model))
-            b(f"b{i}.ffn.b2", (c.d_model,))
-            ln(f"b{i}.ln2")
-        w("start.w", (c.d_model, 1))
-        b("start.b", (1,))
-        w("end.w", (c.d_model, 1))
-        b("end.b", (1,))
-        w("type.w", (c.d_model, len(QA_TYPES)))
-        b("type.b", (len(QA_TYPES),))
-        return params
+            p.block(f"b{i}")
+        for head, width in (("start", 1), ("end", 1), ("type", len(QA_TYPES))):
+            p.w(f"{head}.w", (c.d_model, width))
+            p.b(f"{head}.b", (width,))
+        return p.params
 
     def _forward(self, question_ids: list[int], context_ids: list[int]):
         """Returns (p_start, p_end, type_probs) tensors over sentinel+context."""

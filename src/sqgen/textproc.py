@@ -84,8 +84,10 @@ def train_vocab(
 
     Greedy highest-frequency pair merging over whitespace-split words; ties
     are broken by the lexicographic order of the merged string, which makes
-    training deterministic. Pair counts are maintained incrementally so the
-    loop stays linear-ish in corpus size rather than rescanning per merge.
+    training deterministic. Pair counts and the words holding each pair are
+    updated incrementally, so a merge only rewrites the words that contain it;
+    choosing the merge still scans every pair (a `max` over the counts, then a
+    `min` over the ties), so training costs O(merges x pairs).
     """
     if not corpus:
         raise InvalidCorpus("corpus is empty")

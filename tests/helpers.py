@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 
 from sqgen.corpus import PreparedExample
@@ -22,6 +24,16 @@ TOY = dict(
 
 def toy_model(seed: int = 0, **overrides) -> BertPgn:
     return BertPgn(ModelConfig(**{**TOY, **overrides}), seed=seed)
+
+
+def params_digest(params) -> str:
+    """sha256 over each parameter's name, shape and bytes, in dict order."""
+    h = hashlib.sha256()
+    for name, t in params.items():
+        h.update(name.encode())
+        h.update(repr(t.data.shape).encode())
+        h.update(t.data.tobytes())
+    return h.hexdigest()
 
 
 def copy_task(

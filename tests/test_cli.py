@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import json
 import math
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -183,17 +185,6 @@ class TestPrepare:
         )
         assert manifest["settings"]["kept"] == 3
         assert manifest["settings"]["rejected"] == {"no_paragraph_tag": 1}
-
-    def test_thread_pool_matches_sequential(self, workspace, tmp_path, monkeypatch):
-        out = str(tmp_path / "parallel.jsonl")
-        monkeypatch.setenv("SQGEN_THREADS", "2")
-        rc = cli.main(
-            ["prepare", "--kind", "nq", "--input", workspace["raw"], "--output",
-             out, "--vocab", workspace["vocab"],
-             "--max-context", "64", "--max-question", "16"]
-        )
-        assert rc == cli.EXIT_OK
-        assert read_lines(out) == read_lines(workspace["prepared"])
 
     def test_news_strips_dateline_and_highlights(self, workspace, tmp_path):
         news = str(tmp_path / "news.jsonl")
@@ -563,3 +554,162 @@ class TestScatterSvg:
         cli.scatter_svg(path, points, xlabel="x", ylabel="y")
         content = open(path, encoding="utf-8").read()
         assert content.count("<circle") == 20
+
+    def test_markup_in_title_and_labels_is_escaped(self, tmp_path):
+        path = str(tmp_path / "plot.svg")
+        cli.scatter_svg(path, [(0.0, 1.0)], xlabel="x<1", ylabel="y&z", title="a<b&c")
+        root = ET.parse(path).getroot()
+        texts = {el.text for el in root.iter("{http://www.w3.org/2000/svg}text")}
+        assert {"x<1", "y&z", "a<b&c"} <= texts
+
+
+NEWS_ROWS = [
+    {"id": "n1", "article": "(CNN) -- the storm closed roads across the coast",
+     "highlights": "roads closed"},
+    {"id": "n2", "article": "(CNN) -- everest is the tallest mountain on earth",
+     "highlights": "tallest mountain"},
+]
+
+
+def write_span_annotations(path, votes):
+    """Three annotators per article, all setting only the `span` flag to the
+    article's vote."""
+    rows = []
+    for article, vote in votes.items():
+        for k in range(3):
+            flags = dict.fromkeys(FLAG_NAMES, False)
+            flags["span"] = vote
+            rows.append({"article_id": article, "annotator_id": f"ann{k}", "flags": flags})
+    write_jsonl(path, rows)
+
+
+def command_argv(command, ws, t):
+    """Inputs in the directory t and the argv that runs `command` on them
+    (with the workspace's vocab, data and checkpoint), and the path its
+    manifest is named after."""
+    write_jsonl(t / "cands.jsonl", [{"id": "r1", "question_text": "what is the capital"}])
+    write_jsonl(t / "news.jsonl", NEWS_ROWS)
+    write_jsonl(t / "questions.jsonl", [{"id": "n1", "question_text": "the storm"}])
+    (t / "scores.csv").write_text("id,s_ans,s_gra,model_tag\nhi,5.0,1.0,toy\nlo,-5.0,-1.0,toy\n",
+                                  encoding="utf-8")
+    write_span_annotations(t / "ann.jsonl", {"hi": True, "lo": False})
+    vocab, data = ws["vocab"], ws["prepared"]
+    cases = {
+        "build-vocab": (["build-vocab", "--input", ws["corpus"], "--output", f"{t}/v.txt",
+                         "--size", "120"], f"{t}/v.txt"),
+        "prepare": (["prepare", "--kind", "nq", "--input", ws["raw"], "--output",
+                     f"{t}/p.jsonl", "--vocab", vocab, "--max-context", "64"], f"{t}/p.jsonl"),
+        "train": (["train", "--data", data, "--dev", data, "--vocab", vocab, "--out-dir",
+                   f"{t}/run", "--epochs", "0", *TINY_MODEL_FLAGS], f"{t}/run/train"),
+        "generate": (["generate", "--checkpoint", ws["checkpoint"], "--data", data, "--vocab",
+                      vocab, "--output", f"{t}/g.jsonl", "--max-question", "4"], f"{t}/g.jsonl"),
+        "eval gen": (["eval", "gen", "--candidates", f"{t}/cands.jsonl", "--references", data,
+                      "--vocab", vocab, "--output", f"{t}/r.json"], f"{t}/r.json"),
+        "eval qa": (["eval", "qa", "--questions", f"{t}/questions.jsonl", "--contexts",
+                     f"{t}/news.jsonl", "--vocab", vocab, "--output-prefix", f"{t}/qa"],
+                    f"{t}/qa_scatter.csv"),
+        "eval correlate": (["eval", "correlate", "--scores", f"{t}/scores.csv", "--annotations",
+                            f"{t}/ann.jsonl", "--output", f"{t}/c.json"], f"{t}/c.json"),
+    }
+    return cases[command]
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["build-vocab", "prepare", "train", "generate", "eval gen", "eval qa", "eval correlate"],
+)
+def test_manifest_records_the_argv_given_and_the_wall_time(command, workspace, tmp_path):
+    argv, output = command_argv(command, workspace, tmp_path)
+    assert cli.main(argv) == cli.EXIT_OK
+    manifest = json.loads(open(output + ".manifest.json", encoding="utf-8").read())
+    assert manifest["argv"] == argv
+    assert manifest["command"] == command
+    assert manifest["wall_seconds"] > 0.0
+
+
+def test_comma_in_ids_and_tag_round_trips_through_qa_and_correlate(workspace, tmp_path):
+    news, questions = str(tmp_path / "news.jsonl"), str(tmp_path / "questions.jsonl")
+    write_jsonl(news, [dict(NEWS_ROWS[0], id="a,1"), dict(NEWS_ROWS[1], id="b")])
+    write_jsonl(questions, [
+        {"id": "a,1", "question_text": "the storm closed roads across the coast"},
+        {"id": "b", "question_text": "which river runs through cairo"},
+    ])
+    prefix = str(tmp_path / "qa")
+    assert cli.main(
+        ["eval", "qa", "--questions", questions, "--contexts", news, "--vocab",
+         workspace["vocab"], "--output-prefix", prefix, "--model-tag", "x,y"]
+    ) == cli.EXIT_OK
+    with open(prefix + "_scatter.csv", encoding="utf-8", newline="") as f:
+        scatter = {row["id"]: row for row in csv.DictReader(f)}
+    assert set(scatter) == {"a,1", "b"}
+    assert {row["model_tag"] for row in scatter.values()} == {"x,y"}
+    assert float(scatter["a,1"]["s_ans"]) > 0.0 > float(scatter["b"]["s_ans"])
+    with open(prefix + "_means.csv", encoding="utf-8", newline="") as f:
+        (means,) = csv.DictReader(f)
+    assert (means["model_tag"], means["n"]) == ("x,y", "2")
+
+    annotations, out = str(tmp_path / "ann.jsonl"), str(tmp_path / "corr.json")
+    write_span_annotations(annotations, {"a,1": True, "b": False})
+    assert cli.main(
+        ["eval", "correlate", "--scores", prefix + "_scatter.csv", "--annotations",
+         annotations, "--output", out]
+    ) == cli.EXIT_OK
+    report = json.loads(open(out, encoding="utf-8").read())
+    assert report["span"]["answerability"] == pytest.approx(1.0)
+
+
+def malformed_case(kind, ws, t):
+    """A good row, the field a bad row breaks, and the argv reading the file
+    t/in.jsonl as input of the given kind."""
+    path = f"{t}/in.jsonl"
+    if kind == "prepared":
+        good = json.loads(read_lines(ws["prepared"])[0])
+        argv = ["train", "--data", path, "--vocab", ws["vocab"], "--out-dir", f"{t}/run",
+                *TINY_MODEL_FLAGS]
+        return good, "context_ids", argv
+    if kind == "news":
+        argv = ["prepare", "--kind", "news", "--input", path, "--output", f"{t}/out.jsonl",
+                "--vocab", ws["vocab"]]
+        return NEWS_ROWS[0], "article", argv
+    if kind == "nq":
+        argv = ["prepare", "--kind", "nq", "--input", path, "--output", f"{t}/out.jsonl",
+                "--vocab", ws["vocab"]]
+        return NQ_RECORDS[0], "context", argv
+    argv = ["eval", "gen", "--candidates", path, "--references", ws["prepared"],
+            "--vocab", ws["vocab"], "--output", f"{t}/out.json"]
+    return {"id": "r1", "question_text": "what is the capital"}, "question_text", argv
+
+
+@pytest.mark.parametrize("kind", ["prepared", "nq", "news", "candidates"])
+@pytest.mark.parametrize("defect", ["wrong_type", "missing", "not_an_object", "not_json"])
+def test_malformed_jsonl_row_exits_2_naming_file_and_line(
+    kind, defect, workspace, tmp_path, capsys
+):
+    good, field, argv = malformed_case(kind, workspace, tmp_path)
+    bad = {
+        "wrong_type": json.dumps(dict(good, **{field: 5})),
+        "missing": json.dumps({k: v for k, v in good.items() if k != field}),
+        "not_an_object": "[1, 2]",
+        "not_json": '{"id": ',
+    }[defect]
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(good) + "\n\n" + bad + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:3: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+def test_malformed_scores_row_exits_2_naming_file_and_line(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("id,s_ans,s_gra,model_tag\nhi,5.0,1.0,toy\nlo,high,-1.0,toy\n",
+                      encoding="utf-8")
+    annotations = tmp_path / "ann.jsonl"
+    write_span_annotations(annotations, {"hi": True, "lo": False})
+    assert cli.main(
+        ["eval", "correlate", "--scores", str(scores), "--annotations", str(annotations),
+         "--output", str(tmp_path / "corr.json")]
+    ) == cli.EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {scores}:3: ")

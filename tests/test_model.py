@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import TOY, toy_model
+from helpers import TOY, params_digest, toy_model
 from sqgen import numerics as nm
 from sqgen.model import (
     BertPgn,
@@ -347,3 +347,10 @@ class TestCheckpoints:
         c = init_params(ModelConfig(**TOY), seed=10)
         assert all(np.array_equal(a[k].data, b[k].data) for k in a)
         assert any(not np.array_equal(a[k].data, c[k].data) for k in a)
+
+    def test_seeded_init_bytes_are_pinned(self):
+        params = init_params(ModelConfig(**TOY), seed=9)
+        assert len(params) == 67
+        assert params_digest(params) == (
+            "df4c4089138b2ee2943e980cf146c0036571eb201be83b46a4d914b4e51282e5"
+        )

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import oracles
+from helpers import params_digest
 from sqgen.numerics import ConfigError
 from sqgen.qaeval import (
     FLAG_NAMES,
@@ -337,6 +338,14 @@ class TestJointQaScorer:
     def test_config_validates_heads(self):
         with pytest.raises(ConfigError):
             QaConfig(vocab_size=20, d_model=10, n_heads=4)
+
+    def test_seeded_init_bytes_are_pinned(self):
+        cfg = QaConfig(vocab_size=20, d_model=16, n_heads=2, layers=2, ffn_dim=32)
+        params = JointQaScorer(cfg, seed=0).params
+        assert len(params) == 41
+        assert params_digest(params) == (
+            "4f2a8487d851b0e149669fde08cf42d73848e6a30afb0059113c988795dcbf7f"
+        )
 
     def test_score_shapes_and_normalization(self):
         scorer = JointQaScorer(QaConfig(vocab_size=20, d_model=16, n_heads=2, layers=1, ffn_dim=32))
