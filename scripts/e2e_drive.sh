@@ -1,11 +1,19 @@
 #!/bin/sh
-# End-to-end smoke drive of the installed `sqgen` CLI.
+# End-to-end smoke drive of the `sqgen` CLI (installed, or from this checkout).
 #
 # Runs the whole pipeline on a tiny synthetic corpus in a scratch directory:
 # build-vocab -> prepare -> train -> generate (beam + nucleus) ->
 # eval gen / eval qa / eval correlate, asserting exit codes and artifacts.
 # Finishes in well under a minute on a laptop.
 set -eu
+
+# From a checkout without an installed `sqgen`, run the package in src/.
+if ! command -v sqgen >/dev/null 2>&1; then
+    REPO="$(cd "$(dirname "$0")/.." && pwd)"
+    PYTHONPATH="$REPO/src${PYTHONPATH:+:$PYTHONPATH}"
+    export PYTHONPATH
+    sqgen() { python3 -m sqgen.cli "$@"; }
+fi
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT

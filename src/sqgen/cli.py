@@ -93,7 +93,10 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as f:
-        data = json.load(f)
+        try:
+            data = json.load(f)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"{path}: config must be a JSON object")
     return data

@@ -45,14 +45,15 @@ def _argmax_lowest(dist: np.ndarray) -> int:
     return int(np.argmax(dist))  # argmax returns the first (lowest id) max
 
 
-def greedy(model, context, max_len: int = 50) -> Hypothesis:
-    """Follow the argmax token by token until EOS or the length cap."""
+def _walk(model, context, max_len: int, pick) -> Hypothesis:
+    """Extend one hypothesis by `pick(dist)` until EOS or the length cap;
+    logprob sums the model's own probabilities of the picked tokens."""
     if max_len < 0:
         raise InvalidDecodeConfig(f"max_len must be >= 0, got {max_len}")
     hyp = Hypothesis()
     for _ in range(max_len):
         dist = model.next_distributions(context, [hyp.ids])[0]
-        tok = _argmax_lowest(dist)
+        tok = pick(dist)
         with np.errstate(divide="ignore"):
             hyp.logprob += float(np.log(dist[tok]))
         hyp.ids.append(tok)
@@ -60,6 +61,11 @@ def greedy(model, context, max_len: int = 50) -> Hypothesis:
             hyp.finished = True
             break
     return hyp
+
+
+def greedy(model, context, max_len: int = 50) -> Hypothesis:
+    """Follow the argmax token by token until EOS or the length cap."""
+    return _walk(model, context, max_len, _argmax_lowest)
 
 
 def beam_search(
@@ -110,7 +116,8 @@ def beam_search(
 
 def _top_candidates(scores: np.ndarray, k: int) -> np.ndarray:
     """Flat indices (parent * V + token) of the k best of the flattened
-    (B, V) scores, ordered by (-score, parent, token)."""
+    (B, V) scores, ordered by (-score, parent, token): the pool is ascending,
+    so a stable sort breaks ties by flat index."""
     neg = -scores
     if k < neg.size:
         # Every candidate that can rank in the first k, ties at the cut included.
@@ -118,7 +125,7 @@ def _top_candidates(scores: np.ndarray, k: int) -> np.ndarray:
         pool = np.flatnonzero(neg <= kth)
     else:
         pool = np.arange(neg.size)
-    return pool[np.lexsort((pool, neg[pool]))][:k]
+    return pool[np.argsort(neg[pool], kind="stable")][:k]
 
 
 def sample_step(
@@ -138,7 +145,7 @@ def sample_step(
     p = np.exp(logits)
     p /= p.sum()
 
-    order = np.lexsort((np.arange(p.size), -p))  # descending prob, ties to low id
+    order = np.argsort(-p, kind="stable")  # descending prob, ties to low id
     cum = np.cumsum(p[order])
     keep = int(np.searchsorted(cum, top_p)) + 1
     keep = min(keep, p.size)
@@ -160,17 +167,7 @@ def nucleus_sample(
 ) -> Hypothesis:
     """Seeded nucleus sampling; logprob records the model's own (unfiltered)
     probability of the sampled sequence."""
-    if max_len < 0:
-        raise InvalidDecodeConfig(f"max_len must be >= 0, got {max_len}")
     rng = np.random.default_rng(seed)
-    hyp = Hypothesis()
-    for _ in range(max_len):
-        dist = model.next_distributions(context, [hyp.ids])[0]
-        tok = sample_step(dist, top_p, temperature, rng)
-        with np.errstate(divide="ignore"):
-            hyp.logprob += float(np.log(dist[tok]))
-        hyp.ids.append(tok)
-        if tok == EOS_ID:
-            hyp.finished = True
-            break
-    return hyp
+    return _walk(
+        model, context, max_len, lambda dist: sample_step(dist, top_p, temperature, rng)
+    )

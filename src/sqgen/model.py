@@ -120,7 +120,6 @@ class EncodedContext:
 class DecoderStepOutput:
     """Everything the final decode position produced, as plain arrays."""
 
-    a_c: np.ndarray
     p_gen: float
     vocab_dist: np.ndarray
     copy_attn: np.ndarray
@@ -383,7 +382,6 @@ class BertPgn:
         enc.self_kv = {k: kv for k, kv in enc.self_kv.items() if t - 1 <= len(k) <= t}
         enc.self_kv[tuple(ids.tolist())] = [(k.data, v.data) for k, v in present]
         return DecoderStepOutput(
-            a_c=a_c.data[0],
             p_gen=1.0 if p_gen is None else float(p_gen.data[0]),
             vocab_dist=vocab_dist.data[0],
             copy_attn=copy.data[0],

@@ -123,7 +123,7 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return sub(self, other)
+        return add(self, neg(other))
 
     def __rsub__(self, other):
         return add(neg(self), other)
@@ -170,19 +170,6 @@ def add(a, b) -> Tensor:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
-def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
 
@@ -321,6 +308,9 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 
 
 def getitem(a, key) -> Tensor:
+    """out = a[key]; the gradient scatters back with np.add.at, so repeated
+    indices accumulate. The one gather op: embedding and take_per_row are
+    getitem with their index built."""
     a = _as_tensor(a)
 
     def backward(g):
@@ -341,7 +331,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
             gg = g
             if not keepdims and axis is not None:
                 gg = np.expand_dims(gg, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+            a._accumulate(np.broadcast_to(gg, a.data.shape))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -422,31 +412,13 @@ def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
 
 def embedding(table: Tensor, ids) -> Tensor:
     """Row lookup: out[i] = table[ids[i]]."""
-    table = _as_tensor(table)
-    idx = np.asarray(ids, dtype=np.intp)
-
-    def backward(g):
-        if table.requires_grad:
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx, g)
-            table._accumulate(full)
-
-    return Tensor._make(table.data[idx], (table,), backward)
+    return getitem(table, np.asarray(ids, dtype=np.intp))
 
 
 def take_per_row(x: Tensor, idx) -> Tensor:
     """out[t] = x[t, idx[t]] for a 2-D tensor."""
     x = _as_tensor(x)
-    cols = np.asarray(idx, dtype=np.intp)
-    rows = np.arange(x.data.shape[0])
-
-    def backward(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            np.add.at(full, (rows, cols), g)
-            x._accumulate(full)
-
-    return Tensor._make(x.data[rows, cols], (x,), backward)
+    return getitem(x, (np.arange(x.data.shape[0]), np.asarray(idx, dtype=np.intp)))
 
 
 def scatter_to_vocab(weights: Tensor, ids, width: int) -> Tensor:
@@ -457,15 +429,8 @@ def scatter_to_vocab(weights: Tensor, ids, width: int) -> Tensor:
     """
     weights = _as_tensor(weights)
     idx = np.asarray(ids, dtype=np.intp)
-    out_shape = weights.data.shape[:-1] + (width,)
-    out_data = np.zeros(out_shape)
-    if weights.data.ndim == 1:
-        np.add.at(out_data, idx, weights.data)
-    elif weights.data.ndim == 2:
-        rows = np.arange(weights.data.shape[0])[:, None]
-        np.add.at(out_data, (rows, idx[None, :]), weights.data)
-    else:
-        raise ConfigError("scatter_to_vocab supports 1-D or 2-D weights")
+    out_data = np.zeros(weights.data.shape[:-1] + (width,))
+    np.add.at(out_data, (..., idx), weights.data)
 
     def backward(g):
         if weights.requires_grad:
@@ -521,14 +486,10 @@ def causal_mask(t: int, past: int = 0) -> np.ndarray:
 # -- gradient bookkeeping ------------------------------------------------------
 
 
-def zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
-
-
 def grad_map(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """Gradients of a scalar loss for every named parameter (zeros if unused)."""
-    zero_grads(params)
+    for p in params.values():
+        p.grad = None
     loss.backward()
     return {
         name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))

@@ -224,10 +224,11 @@ def load_vocab(path: str, lowercase: bool = True) -> Vocab:
         lines = f.read().split("\n")
     if lines and lines[-1] == "":
         lines.pop()
-    try:
-        sentinel = lines.index(MERGE_SENTINEL)
-    except ValueError as exc:
-        raise InvalidCorpus(f"{path} has no {MERGE_SENTINEL} section") from exc
+    # Token lines hold no space and merge lines always do, so the sentinel is
+    # the last such line even when a learned token is spelled like it.
+    if MERGE_SENTINEL not in lines:
+        raise InvalidCorpus(f"{path} has no {MERGE_SENTINEL} section")
+    sentinel = len(lines) - 1 - lines[::-1].index(MERGE_SENTINEL)
     tokens = lines[:sentinel]
     merges = [tuple(line.split(" ", 1)) for line in lines[sentinel + 1 :] if line]
     return Vocab(tokens=tokens, merges=[(a, b) for a, b in merges], lowercase=lowercase)

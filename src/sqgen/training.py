@@ -192,10 +192,8 @@ def train(
             save_checkpoint(
                 f"{checkpoint_dir}/epoch_{epoch:03d}.ckpt", model.config, model.params
             )
-        if dev_ppl < best_ppl:
-            best_ppl = dev_ppl
-            best_epoch = epoch
-            best_params = snapshot()
+        if select_best([row.dev_perplexity for row in log]) == epoch - 1:
+            best_epoch, best_ppl, best_params = epoch, dev_ppl, snapshot()
 
     if checkpoint_dir is not None:
         save_checkpoint(f"{checkpoint_dir}/best.ckpt", model.config, best_params)

@@ -160,6 +160,24 @@ def tuple_sort_beam_search(
     return pool
 
 
+def sorted_sample_step(
+    dist: np.ndarray, top_p: float, temperature: float, rng: np.random.Generator
+) -> int:
+    """Nucleus draw with sample_step's temperature arithmetic, ordering the
+    tokens by a Python sort on (-p, id)."""
+    logits = np.log(np.maximum(dist, 1e-300)) / temperature
+    logits -= logits.max()
+    p = np.exp(logits)
+    p /= p.sum()
+    order = sorted(range(p.size), key=lambda i: (-p[i], i))
+    cum = np.cumsum(p[order])
+    keep = min(int(np.searchsorted(cum, top_p)) + 1, p.size)
+    kept = order[:keep]
+    kept_p = p[kept] / p[kept].sum()
+    idx = int(np.searchsorted(np.cumsum(kept_p), rng.random()))
+    return kept[min(idx, keep - 1)]
+
+
 # -- finite differences --------------------------------------------------------
 
 

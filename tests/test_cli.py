@@ -160,6 +160,19 @@ class TestBuildVocab:
         )
         assert rc == cli.EXIT_INPUT
 
+    def test_config_that_is_not_json_exits_2_naming_the_file(
+        self, tmp_path, workspace, capsys
+    ):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"size": ', encoding="utf-8")
+        rc = cli.main(
+            ["--config", str(cfg), "build-vocab", "--input", workspace["corpus"],
+             "--output", str(tmp_path / "v.txt")]
+        )
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"error: {cfg}: ")
+        assert not (tmp_path / "v.txt").exists()
+
 
 class TestPrepare:
     def test_keeps_taggable_records_and_reports_rejections(

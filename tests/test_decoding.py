@@ -251,3 +251,42 @@ class TestNucleusSample:
             dist = m.next_distribution(None, h.ids[:t])
             total += math.log(dist[h.ids[t]])
         assert h.logprob == pytest.approx(total, abs=1e-9)
+
+
+class TestSampleStepTieOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(st.sampled_from([0, 1, 2, 5]), min_size=1, max_size=50).filter(any),
+        top_p=st.floats(0.0, 1.0, exclude_min=True),
+        temperature=st.sampled_from([0.1, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sorted_reference(self, weights, top_p, temperature, seed):
+        # few distinct values, so most tokens tie with others
+        dist = np.asarray(weights, dtype=np.float64) / sum(weights)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = sample_step(dist, top_p, temperature, got_rng)
+            want = oracles.sorted_sample_step(dist, top_p, temperature, want_rng)
+            assert got == want
+
+
+class TestPinnedOutputs:
+    """Ids and logprob bits of every decoder on one seeded toy model, as the
+    commit before one-sort-key decoding produced them."""
+
+    def test_toy_model_outputs_are_pinned(self):
+        m = toy_model(seed=9)
+        enc = lambda: m.encode_context([5, 6, 7, 8, 5, 9], [0, 1, 1, 0, 0, 0])
+        hyps = (
+            [greedy(m, enc(), max_len=8)]
+            + beam_search(m, enc(), beam=3, max_len=8)
+            + [nucleus_sample(m, enc(), top_p=0.9, temperature=1.0, seed=3, max_len=8)]
+        )
+        assert [(h.ids, h.logprob.hex(), h.finished) for h in hyps] == [
+            ([2, 5, 5, 5, 5, 5, 5, 5, 5], "-0x1.ad81bf8c19c18p+3", False),
+            ([2, 5, 5, 5, 5, 5, 5, 5, 5], "-0x1.ad81bf8c19c18p+3", False),
+            ([2, 5, 5, 5, 8, 5, 5, 5, 5], "-0x1.bd719cd58621ap+3", False),
+            ([2, 5, 5, 5, 5, 5, 5, 5, 7], "-0x1.bde2b83790b2ep+3", False),
+            ([2, 5, 7, 10, 9, 5, 8, 8, 5], "-0x1.184acb6b8b13ep+4", False),
+        ]

@@ -127,6 +127,15 @@ class TestSaveLoad:
         text = "the capital of france"
         assert encode(text, loaded) == encode(text, tiny_vocab)
 
+    def test_token_spelled_like_the_sentinel_round_trips(self, tmp_path):
+        vocab = train_vocab(["x#MERGES " * 50, "y#MERGES " * 50], target_size=40, lowercase=False)
+        assert textproc.MERGE_SENTINEL in vocab.tokens
+        path = tmp_path / "vocab.txt"
+        save_vocab(vocab, str(path))
+        loaded = load_vocab(str(path), lowercase=False)
+        assert loaded.tokens == vocab.tokens
+        assert loaded.merges == vocab.merges
+
     def test_loaded_vocab_decodes_identically(self, tiny_vocab, tmp_path):
         path = tmp_path / "vocab.txt"
         save_vocab(tiny_vocab, str(path))

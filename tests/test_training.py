@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helpers import TOY, copy_task, toy_model
+from helpers import TOY, copy_task, params_digest, toy_model
 from sqgen import numerics as nm
 from sqgen import training
 from sqgen.corpus import DatasetSplit, PreparedExample
@@ -59,6 +59,29 @@ class TestNllLoss:
     def test_pad_in_target_rejected(self):
         with pytest.raises(InvalidTarget):
             nll_loss(toy_model(), example(question=(5, 0)))
+
+
+class TestPinnedGradients:
+    """sha256 of grad_map over the summed loss of four copy-task examples,
+    as the commit before the one-gather-op autodiff computed it."""
+
+    @pytest.mark.parametrize(
+        "overrides, digest",
+        [
+            ({}, "8ebfdc0bd69e9b71237144d849263d5870ad072c409e1408825f4c081b0e2e09"),
+            ({"use_pointer": False},
+             "feaaaa98061901f21f79d29866a7f2d96edf5172ff94ca0bab3d6ab95d71d4be"),
+        ],
+        ids=["pointer", "no_pointer"],
+    )
+    def test_grad_map_bytes_are_pinned(self, overrides, digest):
+        m = toy_model(seed=9, **overrides)
+        losses = [nll_loss(m, ex) for ex in copy_task(4, vocab_size=20)]
+        total = losses[0]
+        for extra in losses[1:]:
+            total = total + extra
+        grads = nm.grad_map(total, m.params)
+        assert params_digest({k: nm.Tensor(g) for k, g in grads.items()}) == digest
 
 
 class TestAdamStep:
@@ -190,6 +213,12 @@ class TestTrain:
         a, b = run(), run()
         assert [r.train_loss for r in a.log] == [r.train_loss for r in b.log]
         assert all(np.array_equal(a.best_params[k], b.best_params[k]) for k in a.best_params)
+
+    def test_tied_dev_perplexity_keeps_the_earliest_epoch(self, monkeypatch):
+        monkeypatch.setattr(training, "perplexity", lambda model, examples: 7.0)
+        result = train(toy_model(seed=1), self._tiny_split(), TrainConfig(epochs=3, lr=1e-3))
+        assert result.best_epoch == 1
+        assert result.best_dev_perplexity == 7.0
 
     def test_empty_train_split_rejected(self):
         with pytest.raises(InvalidDataset):
