@@ -146,6 +146,10 @@ for path in paths:
     assert isinstance(wall, (int, float)) and wall > 0, (path, wall)
 '
 
+echo "== no write left a temporary file behind"
+leftover=$(find . -name '.*.tmp')
+[ -z "$leftover" ] || { echo "temporary files left: $leftover"; exit 1; }
+
 echo "== exit codes"
 rc=0; sqgen build-vocab --input missing.txt --output v.txt || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 for missing input, got $rc"; exit 1; }

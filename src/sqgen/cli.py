@@ -24,7 +24,7 @@ import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
-from . import corpus, decoding, genmetrics, qaeval, textproc, training
+from . import corpus, decoding, files, genmetrics, qaeval, textproc, training
 from . import numerics as nm
 from .model import BertPgn, ModelConfig
 from .qaeval import AnnotationRecord, JointQaScorer, LexicalOverlapScorer
@@ -56,7 +56,7 @@ def write_manifest(
     seed: int | None,
     settings: dict | None = None,
     wall_seconds: float | None = None,
-) -> str:
+) -> None:
     manifest = {
         "command": command,
         "argv": argv,
@@ -68,11 +68,7 @@ def write_manifest(
         "started_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "wall_seconds": wall_seconds,
     }
-    path = output_path + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return path
+    files.write_json(output_path + ".manifest.json", manifest)
 
 
 @dataclass
@@ -108,11 +104,6 @@ def _setting(args: argparse.Namespace, name: str, default):
     if value is not None:
         return value
     return args._file_config.get(name, default)
-
-
-def _csv_writer(f):
-    """Every CSV the CLI writes ends its rows in a bare newline."""
-    return csv.writer(f, lineterminator="\n")
 
 
 def _question_row(obj: dict) -> tuple[str, str]:
@@ -253,9 +244,9 @@ def cmd_generate(args: argparse.Namespace) -> Done:
     top_p = _setting(args, "top_p", decoding.DEFAULT_TOP_P)
     temperature = _setting(args, "temperature", decoding.DEFAULT_TEMPERATURE)
     seed = _setting(args, "seed", 0)
+    used = {"beam": {"beam": beam}, "nucleus": {"top_p": top_p, "temperature": temperature}}
+    decoding.check_settings(max_len=max_len, **used.get(args.mode, {}))
 
-    # Rows are written only once every context has decoded, so a bad context
-    # leaves no partial output.
     rows = []
     for ex in examples:
         with nm.no_grad():
@@ -273,19 +264,10 @@ def cmd_generate(args: argparse.Namespace) -> Done:
         else:
             hyp = decoding.greedy(model, enc, max_len=max_len)
         rows.append((ex.id, hyp))
-    with open(args.output, "w", encoding="utf-8") as out:
-        for rid, hyp in rows:
-            out.write(
-                json.dumps(
-                    {
-                        "id": rid,
-                        "question_text": textproc.decode(hyp.ids, vocab),
-                        "logprob": hyp.logprob,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    files.write_jsonl(args.output, (
+        {"id": rid, "question_text": textproc.decode(hyp.ids, vocab), "logprob": hyp.logprob}
+        for rid, hyp in rows
+    ))
     return Done(
         args.output, [args.checkpoint, args.data, args.vocab], [args.output],
         seed=seed,
@@ -325,21 +307,18 @@ def _eval_gen(args: argparse.Namespace) -> Done:
         "meteor_lite": report.meteor_lite * 100.0,
         "n": report.n_examples,
     }
-    with open(args.output, "w", encoding="utf-8") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    files.write_json(args.output, payload)
     if args.per_example:
-        with open(args.per_example, "w", encoding="utf-8", newline="") as f:
-            out = _csv_writer(f)
-            out.writerow(["id", "bleu1", "bleu4", "rouge_l", "meteor_lite"])
-            for rid, cand, refs in zip(ids, candidates, references):
-                out.writerow([
-                    rid,
-                    genmetrics.bleu([cand], [refs], max_n=1) * 100.0,
-                    genmetrics.bleu([cand], [refs], max_n=4) * 100.0,
-                    genmetrics.rouge_l(cand, refs) * 100.0,
-                    max(genmetrics.meteor_lite(cand, ref) for ref in refs) * 100.0,
-                ])
+        files.write_csv(args.per_example, ["id", "bleu1", "bleu4", "rouge_l", "meteor_lite"], (
+            [
+                rid,
+                genmetrics.bleu([cand], [refs], max_n=1) * 100.0,
+                genmetrics.bleu([cand], [refs], max_n=4) * 100.0,
+                rouge * 100.0,
+                meteor * 100.0,
+            ]
+            for rid, cand, refs, (rouge, meteor) in zip(ids, candidates, references, report.each)
+        ))
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return Done(
         args.output, [args.candidates, args.references, args.vocab],
@@ -373,19 +352,15 @@ def _eval_qa(args: argparse.Namespace) -> Done:
         rows.append((rid, scores.answerability, scores.granularity))
 
     scatter_csv = args.output_prefix + "_scatter.csv"
-    with open(scatter_csv, "w", encoding="utf-8", newline="") as f:
-        out = _csv_writer(f)
-        out.writerow(["id", "s_ans", "s_gra", "model_tag"])
-        out.writerows([rid, ans, gra, tag] for rid, ans, gra in rows)
+    files.write_csv(
+        scatter_csv, ["id", "s_ans", "s_gra", "model_tag"],
+        ([rid, ans, gra, tag] for rid, ans, gra in rows),
+    )
 
     means_csv = args.output_prefix + "_means.csv"
-    with open(means_csv, "w", encoding="utf-8", newline="") as f:
-        out = _csv_writer(f)
-        out.writerow(["model_tag", "mean_s_ans", "mean_s_gra", "n"])
-        if rows:
-            mean_ans = sum(r[1] for r in rows) / len(rows)
-            mean_gra = sum(r[2] for r in rows) / len(rows)
-            out.writerow([tag, mean_ans, mean_gra, len(rows)])
+    n = len(rows)
+    means = [[tag, sum(r[1] for r in rows) / n, sum(r[2] for r in rows) / n, n]] if rows else []
+    files.write_csv(means_csv, ["model_tag", "mean_s_ans", "mean_s_gra", "n"], means)
 
     svg_path = args.output_prefix + "_scatter.svg"
     scatter_svg(
@@ -420,22 +395,10 @@ def _eval_correlate(args: argparse.Namespace) -> Done:
         ),
     ))
     report = qaeval.correlation_report(scores, annotations)
-    with open(args.output, "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
+    files.write_json(args.output, report)
     if args.unanimity_output:
         ratios = qaeval.unanimity_ratios(annotations)
-        payload = {
-            flag: {
-                "n_unanimous": row.n_unanimous,
-                "true_pct": row.true_pct,
-                "false_pct": row.false_pct,
-            }
-            for flag, row in ratios.items()
-        }
-        with open(args.unanimity_output, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
-            f.write("\n")
+        files.write_json(args.unanimity_output, {f: asdict(row) for f, row in ratios.items()})
     return Done(
         args.output, [args.scores, args.annotations],
         [args.output] + ([args.unanimity_output] if args.unanimity_output else []),
@@ -530,7 +493,7 @@ def scatter_svg(
             f'text-anchor="middle">{title}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
+    with files.replacing(path) as f:
         f.write("\n".join(parts) + "\n")
 
 

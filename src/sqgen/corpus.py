@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, TypeVar
 
-from . import textproc
+from . import files, textproc
 from .textproc import Vocab
 
 SHORT_ANSWER = "short"
@@ -100,20 +100,10 @@ def bracket_answers(record: RawRecord) -> str:
     """Title plus context with the answer region wrapped in space-padded
     brackets; with no short spans the whole context is one bracketed long
     answer."""
-    spans = _validated_spans(record)
-    ctx = record.context
-    if not spans:
-        bracketed = OPEN_MARK + ctx + CLOSE_MARK
-    else:
-        pieces: list[str] = []
-        prev = 0
-        for s, e in spans:
-            pieces.append(ctx[prev:s])
-            pieces.append(OPEN_MARK + ctx[s:e] + CLOSE_MARK)
-            prev = e
-        pieces.append(ctx[prev:])
-        bracketed = "".join(pieces)
-    return record.title + " " + bracketed
+    segments = _tagged_segments(record, _validated_spans(record))
+    return record.title + " " + "".join(
+        OPEN_MARK + text + CLOSE_MARK if tag else text for text, tag in segments[1:]
+    )
 
 
 def strip_markers(text: str) -> str:
@@ -303,21 +293,7 @@ def read_news_records(path: str) -> Iterator[tuple[str, str, str]]:
 
 
 def write_prepared(examples: Iterable[PreparedExample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(
-                json.dumps(
-                    {
-                        "id": ex.id,
-                        "context_ids": ex.context_ids,
-                        "type_ids": ex.type_ids,
-                        "question_ids": ex.question_ids,
-                        "answer_kind": ex.answer_kind,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    files.write_jsonl(path, (vars(ex) for ex in examples))
 
 
 def _prepared_example(obj: dict) -> PreparedExample:

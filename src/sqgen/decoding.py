@@ -41,6 +41,18 @@ class Hypothesis:
         return self.logprob / max(1, len(self.ids) - 1)
 
 
+def check_settings(*, max_len=0, beam=1, top_p=1.0, temperature=0.0) -> None:
+    """Raise InvalidDecodeConfig unless each setting is in range (as the defaults are)."""
+    if beam < 1:
+        raise InvalidDecodeConfig(f"beam must be >= 1, got {beam}")
+    if max_len < 0:
+        raise InvalidDecodeConfig(f"max_len must be >= 0, got {max_len}")
+    if not 0.0 < top_p <= 1.0:
+        raise InvalidDecodeConfig(f"top_p must be in (0,1], got {top_p}")
+    if temperature < 0.0:
+        raise InvalidDecodeConfig(f"temperature must be >= 0, got {temperature}")
+
+
 def _argmax_lowest(dist: np.ndarray) -> int:
     return int(np.argmax(dist))  # argmax returns the first (lowest id) max
 
@@ -48,8 +60,6 @@ def _argmax_lowest(dist: np.ndarray) -> int:
 def _walk(model, context, max_len: int, pick) -> Hypothesis:
     """Extend one hypothesis by `pick(dist)` until EOS or the length cap;
     logprob sums the model's own probabilities of the picked tokens."""
-    if max_len < 0:
-        raise InvalidDecodeConfig(f"max_len must be >= 0, got {max_len}")
     hyp = Hypothesis()
     for _ in range(max_len):
         dist = model.next_distributions(context, [hyp.ids])[0]
@@ -65,6 +75,7 @@ def _walk(model, context, max_len: int, pick) -> Hypothesis:
 
 def greedy(model, context, max_len: int = 50) -> Hypothesis:
     """Follow the argmax token by token until EOS or the length cap."""
+    check_settings(max_len=max_len)
     return _walk(model, context, max_len, _argmax_lowest)
 
 
@@ -80,11 +91,7 @@ def beam_search(
     Pruning always uses the raw cumulative log probability; the
     length_normalize flag only changes the final ranking.
     """
-    if beam < 1:
-        raise InvalidDecodeConfig(f"beam must be >= 1, got {beam}")
-    if max_len < 0:
-        raise InvalidDecodeConfig(f"max_len must be >= 0, got {max_len}")
-
+    check_settings(max_len=max_len, beam=beam)
     live = [Hypothesis()]
     finished: list[Hypothesis] = []
     for _ in range(max_len):
@@ -133,10 +140,7 @@ def sample_step(
 ) -> int:
     """Draw one token: temperature-sharpen, keep the smallest set of tokens
     whose mass reaches top_p, renormalize, sample."""
-    if not 0.0 < top_p <= 1.0:
-        raise InvalidDecodeConfig(f"top_p must be in (0,1], got {top_p}")
-    if temperature < 0.0:
-        raise InvalidDecodeConfig(f"temperature must be >= 0, got {temperature}")
+    check_settings(top_p=top_p, temperature=temperature)
     if temperature <= GREEDY_TEMPERATURE:
         return _argmax_lowest(dist)
 
@@ -167,6 +171,7 @@ def nucleus_sample(
 ) -> Hypothesis:
     """Seeded nucleus sampling; logprob records the model's own (unfiltered)
     probability of the sampled sequence."""
+    check_settings(max_len=max_len, top_p=top_p, temperature=temperature)
     rng = np.random.default_rng(seed)
     return _walk(
         model, context, max_len, lambda dist: sample_step(dist, top_p, temperature, rng)

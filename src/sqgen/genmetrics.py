@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 METEOR_ALPHA = 0.9  # recall weight in the harmonic mean
 METEOR_GAMMA = 0.5  # fragmentation penalty scale
@@ -36,6 +36,7 @@ class MetricReport:
     rouge_l: float
     meteor_lite: float
     n_examples: int
+    each: list[tuple[float, float]] = field(default_factory=list)  # per example (rouge_l, meteor_lite)
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
@@ -232,11 +233,12 @@ def corpus_report(
         raise InvalidInput(
             f"{len(candidates)} candidates vs {len(references)} reference groups"
         )
-    rouge_sum = 0.0
-    meteor_sum = 0.0
+    each: list[tuple[float, float]] = []
+    rouge_sum = meteor_sum = 0.0  # summed in order: sum() compensates from Python 3.12 on
     for cand, refs in zip(candidates, references):
-        rouge_sum += rouge_l(cand, refs)
-        meteor_sum += max(meteor_lite(cand, ref) for ref in refs)
+        each.append((rouge_l(cand, refs), max(meteor_lite(cand, ref) for ref in refs)))
+        rouge_sum += each[-1][0]
+        meteor_sum += each[-1][1]
     n = len(candidates)
     return MetricReport(
         bleu1=bleu(candidates, references, max_n=1),
@@ -244,4 +246,5 @@ def corpus_report(
         rouge_l=rouge_sum / n,
         meteor_lite=meteor_sum / n,
         n_examples=n,
+        each=each,
     )

@@ -34,6 +34,7 @@ from typing import Mapping
 
 import numpy as np
 
+from . import files
 from . import numerics as nm
 from .numerics import ConfigError, Tensor
 
@@ -463,7 +464,7 @@ def save_checkpoint(
         "config": asdict(config),
         "arrays": [{"name": n, "shape": list(arrays[n].shape)} for n in names],
     }
-    with open(path, "wb") as fh:
+    with files.replacing(path, binary=True) as fh:
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for n in names:

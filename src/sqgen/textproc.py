@@ -4,12 +4,16 @@ Encoder and decoder share one vocabulary, so a context token and the
 generated token it copies to always carry the same id. Word boundaries are
 marked with a prefix marker on the first subword of each word, which makes
 decoding a pure string operation (join, swap markers for spaces, strip).
+Text is lowercased both when the vocabulary is trained and when it encodes,
+so a vocabulary file needs no case setting.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+
+from . import files
 
 PAD_ID = 0
 UNK_ID = 1
@@ -48,7 +52,6 @@ class Vocab:
 
     tokens: list[str]
     merges: list[tuple[str, str]]
-    lowercase: bool = True
     id_of: dict[str, int] = field(init=False, repr=False)
     _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False)
     _word_cache: dict[str, list[int]] = field(init=False, repr=False)
@@ -62,12 +65,10 @@ class Vocab:
         return len(self.tokens)
 
 
-def _words(corpus: list[str], lowercase: bool) -> Counter[str]:
+def _words(corpus: list[str]) -> Counter[str]:
     counts: Counter[str] = Counter()
     for line in corpus:
-        if lowercase:
-            line = line.lower()
-        counts.update(line.split())
+        counts.update(line.lower().split())
     return counts
 
 
@@ -77,9 +78,7 @@ def _word_symbols(word: str) -> tuple[str, ...]:
     return tuple(chars)
 
 
-def train_vocab(
-    corpus: list[str], target_size: int = DEFAULT_VOCAB_SIZE, lowercase: bool = True
-) -> Vocab:
+def train_vocab(corpus: list[str], target_size: int = DEFAULT_VOCAB_SIZE) -> Vocab:
     """Learn a byte-pair vocabulary of at most target_size entries.
 
     Greedy highest-frequency pair merging over whitespace-split words; ties
@@ -92,7 +91,7 @@ def train_vocab(
     if not corpus:
         raise InvalidCorpus("corpus is empty")
 
-    word_counts = _words(corpus, lowercase)
+    word_counts = _words(corpus)
     if not word_counts:
         raise InvalidCorpus("corpus contains no words")
     words: list[list[str]] = []
@@ -160,7 +159,7 @@ def train_vocab(
                 pair_freq[(a, b)] += f
                 pair_words.setdefault((a, b), set()).add(wi)
 
-    return Vocab(tokens=tokens, merges=merges, lowercase=lowercase)
+    return Vocab(tokens=tokens, merges=merges)
 
 
 def _apply_merges(symbols: list[str], rank: dict[tuple[str, str], int]) -> list[str]:
@@ -183,11 +182,9 @@ def _apply_merges(symbols: list[str], rank: dict[tuple[str, str], int]) -> list[
 
 
 def encode(text: str, vocab: Vocab) -> list[int]:
-    """Tokenize text to ids; characters the vocabulary never saw become UNK."""
-    if vocab.lowercase:
-        text = text.lower()
+    """Lowercase text and tokenize it to ids; characters the vocabulary never saw become UNK."""
     ids: list[int] = []
-    for word in text.split():
+    for word in text.lower().split():
         cached = vocab._word_cache.get(word)
         if cached is None:
             symbols = _apply_merges(list(_word_symbols(word)), vocab._merge_rank)
@@ -211,7 +208,7 @@ def decode(ids: list[int], vocab: Vocab) -> str:
 
 def save_vocab(vocab: Vocab, path: str) -> None:
     """Write one token per line (line number = id), then the merge table."""
-    with open(path, "w", encoding="utf-8") as f:
+    with files.replacing(path) as f:
         for tok in vocab.tokens:
             f.write(tok + "\n")
         f.write(MERGE_SENTINEL + "\n")
@@ -219,7 +216,7 @@ def save_vocab(vocab: Vocab, path: str) -> None:
             f.write(f"{a} {b}\n")
 
 
-def load_vocab(path: str, lowercase: bool = True) -> Vocab:
+def load_vocab(path: str) -> Vocab:
     with open(path, encoding="utf-8") as f:
         lines = f.read().split("\n")
     if lines and lines[-1] == "":
@@ -231,4 +228,4 @@ def load_vocab(path: str, lowercase: bool = True) -> Vocab:
     sentinel = len(lines) - 1 - lines[::-1].index(MERGE_SENTINEL)
     tokens = lines[:sentinel]
     merges = [tuple(line.split(" ", 1)) for line in lines[sentinel + 1 :] if line]
-    return Vocab(tokens=tokens, merges=[(a, b) for a, b in merges], lowercase=lowercase)
+    return Vocab(tokens=tokens, merges=[(a, b) for a, b in merges])

@@ -11,10 +11,11 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
+from . import files
 from . import numerics as nm
 from .corpus import DatasetSplit, PreparedExample
 from .model import BertPgn, save_checkpoint
@@ -203,9 +204,4 @@ def train(
 
 
 def write_log_csv(log: list[EpochLog], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("epoch,train_loss,dev_perplexity,wall_seconds\n")
-        for row in log:
-            f.write(
-                f"{row.epoch},{row.train_loss!r},{row.dev_perplexity!r},{row.wall_seconds!r}\n"
-            )
+    files.write_csv(path, [f.name for f in fields(EpochLog)], map(astuple, log))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 
 import numpy as np
@@ -66,6 +67,47 @@ def copy_task(
             )
         )
     return examples
+
+
+class _InterruptingFile:
+    """A file open for writing whose write after the first `writes` raises
+    KeyboardInterrupt, as a Ctrl-C in the middle of a save would."""
+
+    def __init__(self, f, writes: int):
+        self._f = f
+        self._left = writes
+
+    def write(self, data):
+        if self._left == 0:
+            raise KeyboardInterrupt
+        self._left -= 1
+        return self._f.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+def interrupt_writes(monkeypatch, writes: int) -> None:
+    """Until the test ends, every file opened for writing is interrupted
+    after `writes` writes; files opened for reading are untouched."""
+    real_open = builtins.open
+
+    def fake_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return _InterruptingFile(f, writes) if set(mode) & set("wxa+") else f
+
+    monkeypatch.setattr(builtins, "open", fake_open)
+
+
+def temp_files(directory) -> list:
+    """Files a write in `directory` left behind under a temporary name."""
+    return sorted(directory.glob(".*.tmp"))
 
 
 class StubModel:

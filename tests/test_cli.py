@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from helpers import interrupt_writes, temp_files
 from sqgen import cli
 from sqgen.corpus import read_prepared
 from sqgen.decoding import greedy
@@ -349,6 +350,23 @@ class TestGenerate:
         for name in ("gen.jsonl", "gen.jsonl.tmp"):
             assert (tmp_path / name).read_text(encoding="utf-8") == f"kept {name}\n"
 
+    @pytest.mark.parametrize("flags", [
+        ("--mode", "nucleus", "--top-p", "5", "--temperature", "-1"),
+        ("--mode", "nucleus", "--temperature", "-1"),
+        ("--mode", "beam", "--beam", "0"),
+        ("--mode", "greedy", "--max-question", "-1"),
+    ])
+    def test_bad_decode_setting_exits_2_even_on_empty_data(self, workspace, tmp_path, flags):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        out = tmp_path / "gen.jsonl"
+        rc = cli.main(
+            ["generate", "--checkpoint", workspace["checkpoint"], "--data", str(empty),
+             "--vocab", workspace["vocab"], "--output", str(out), *flags]
+        )
+        assert rc == cli.EXIT_INPUT
+        assert [p.name for p in tmp_path.iterdir()] == ["empty.jsonl"]
+
     def test_vocab_size_mismatch_exits_2(self, workspace, tmp_path):
         small = str(tmp_path / "small_vocab.txt")
         assert cli.main(
@@ -408,6 +426,21 @@ class TestEvalGen:
         lines = read_lines(per_ex)
         assert lines[0] == "id,bleu1,bleu4,rouge_l,meteor_lite"
         assert len(lines) == 4
+
+    def test_interrupted_report_keeps_the_previous_one(self, workspace, tmp_path, monkeypatch):
+        cands = str(tmp_path / "cands.jsonl")
+        out = tmp_path / "report.json"
+        args = ["eval", "gen", "--candidates", cands, "--references",
+                workspace["prepared"], "--vocab", workspace["vocab"], "--output", str(out)]
+        self.make_candidates(workspace, cands)
+        assert cli.main(args) == cli.EXIT_OK
+        before = out.read_bytes()
+        self.make_candidates(workspace, cands, texts=["what", "which", "where"])
+        interrupt_writes(monkeypatch, writes=2)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(args)
+        assert out.read_bytes() == before
+        assert temp_files(tmp_path) == []
 
     def test_weaker_candidates_score_lower(self, workspace, tmp_path):
         cands = str(tmp_path / "cands.jsonl")
@@ -492,6 +525,24 @@ class TestEvalQa:
         assert rc == cli.EXIT_OK
         scatter = read_lines(prefix + "_scatter.csv")
         assert float(scatter[1].split(",")[1]) < 0.0
+
+    def test_interrupted_scatter_csv_keeps_the_previous_one(self, workspace, tmp_path, monkeypatch):
+        rows = [{"id": "n1", "question_text": "the storm closed roads"},
+                {"id": "n2", "question_text": "the tallest mountain"}]
+        rc, prefix = self.run_eval(workspace, tmp_path, rows)
+        assert rc == cli.EXIT_OK
+        scatter = tmp_path / "qa_scatter.csv"
+        before = scatter.read_bytes()
+        write_jsonl(str(tmp_path / "questions.jsonl"), rows[::-1])
+        interrupt_writes(monkeypatch, writes=2)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(
+                ["eval", "qa", "--questions", str(tmp_path / "questions.jsonl"),
+                 "--contexts", str(tmp_path / "news.jsonl"), "--vocab", workspace["vocab"],
+                 "--output-prefix", prefix, "--model-tag", "toy"]
+            )
+        assert scatter.read_bytes() == before
+        assert temp_files(tmp_path) == []
 
     def test_missing_context_exits_2(self, workspace, tmp_path):
         rc, _ = self.run_eval(

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from helpers import interrupt_writes, temp_files
 from sqgen import corpus, textproc
 from sqgen.corpus import (
     LONG_ANSWER,
@@ -259,6 +260,18 @@ class TestJsonlIo:
         corpus.write_prepared(examples, str(path))
         back = corpus.read_prepared(str(path))
         assert back == examples
+
+    def test_interrupted_write_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "prep.jsonl"
+        old = PreparedExample(id="a", context_ids=[4], type_ids=[1], question_ids=[5], answer_kind=SHORT_ANSWER)
+        new = PreparedExample(id="b", context_ids=[6], type_ids=[1], question_ids=[], answer_kind=LONG_ANSWER)
+        corpus.write_prepared([old], str(path))
+        before = path.read_bytes()
+        interrupt_writes(monkeypatch, writes=1)
+        with pytest.raises(KeyboardInterrupt):
+            corpus.write_prepared([new, new], str(path))
+        assert path.read_bytes() == before
+        assert temp_files(tmp_path) == []
 
     def test_read_raw_records(self, tmp_path):
         rows = [

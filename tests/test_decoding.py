@@ -253,6 +253,26 @@ class TestNucleusSample:
         assert h.logprob == pytest.approx(total, abs=1e-9)
 
 
+class TestSettingsChecked:
+    """Every decoder checks its settings on entry, also when no step runs."""
+
+    @pytest.mark.parametrize("decode", [
+        lambda m: nucleus_sample(m, None, top_p=5.0, temperature=1.0, max_len=0),
+        lambda m: nucleus_sample(m, None, top_p=0.0, temperature=1.0, max_len=0),
+        lambda m: nucleus_sample(m, None, top_p=0.9, temperature=-1.0, max_len=0),
+        lambda m: nucleus_sample(m, None, top_p=0.9, temperature=1.0, max_len=-1),
+        lambda m: beam_search(m, None, beam=0, max_len=0),
+        lambda m: beam_search(m, None, beam=2, max_len=-1),
+        lambda m: greedy(m, None, max_len=-1),
+    ])
+    def test_out_of_range_setting_rejected_before_any_step(self, decode):
+        with pytest.raises(InvalidDecodeConfig):
+            decode(StubModel(8))
+
+    def test_defaults_are_in_range(self):
+        decoding.check_settings()
+
+
 class TestSampleStepTieOrder:
     @settings(max_examples=300, deadline=None)
     @given(

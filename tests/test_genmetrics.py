@@ -205,6 +205,20 @@ class TestCorpusReport:
         with pytest.raises(InvalidInput):
             corpus_report([["a"]], [])
 
+    def test_each_holds_the_per_example_scores_behind_the_means(self):
+        cands = [tokenize(c) for c, _ in METRIC_SUITE]
+        refs = [[tokenize(r), tokenize(c)[::-1]] for c, r in METRIC_SUITE]
+        report = corpus_report(cands, refs)
+        assert report.each == [
+            (rouge_l(c, rs), max(meteor_lite(c, r) for r in rs)) for c, rs in zip(cands, refs)
+        ]
+        rouge_sum = meteor_sum = 0.0
+        for rouge, meteor in report.each:
+            rouge_sum += rouge
+            meteor_sum += meteor
+        assert report.rouge_l == rouge_sum / len(cands)
+        assert report.meteor_lite == meteor_sum / len(cands)
+
     def test_report_is_plain_dataclass(self):
         report = MetricReport(0.1, 0.2, 0.3, 0.4, 5)
         assert report.n_examples == 5

@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from helpers import TOY, params_digest, toy_model
+from helpers import TOY, interrupt_writes, params_digest, temp_files, toy_model
 from sqgen import numerics as nm
 from sqgen.model import (
     BertPgn,
@@ -326,6 +329,47 @@ class TestCheckpoints:
             f.write(b"\x00" * 8)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_interrupted_resave_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "best.ckpt"
+        toy_model(seed=1).save(str(path))
+        before = path.read_bytes()
+        interrupt_writes(monkeypatch, writes=5)
+        with pytest.raises(KeyboardInterrupt):
+            toy_model(seed=2).save(str(path))
+        assert path.read_bytes() == before
+        assert temp_files(tmp_path) == []
+        load_checkpoint(str(path))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(arrays=st.dictionaries(
+        st.text(alphabet="abcxyz._0123456789", min_size=1, max_size=8),
+        hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)),
+        max_size=4,
+    ))
+    def test_round_trip_over_shapes_and_values(self, tmp_path, arrays):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, ModelConfig(**TOY), arrays)
+        config, back = load_checkpoint(path)
+        assert config == ModelConfig(**TOY)
+        assert list(back) == sorted(arrays)
+        for name, a in arrays.items():
+            assert back[name].shape == a.shape
+            assert back[name].tobytes() == a.tobytes()
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncation_at_any_byte_rejected(self, tmp_path, data):
+        path = tmp_path / "m.ckpt"
+        arrays = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4), "c": np.float64(2.5)}
+        save_checkpoint(str(path), ModelConfig(**TOY), arrays)
+        raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
+        path.write_bytes(raw[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
 
     def test_unknown_config_key_rejected(self, tmp_path):
         m = toy_model()

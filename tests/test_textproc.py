@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import interrupt_writes, temp_files
 from sqgen import textproc
 from sqgen.textproc import (
     BOS_ID,
@@ -12,6 +15,7 @@ from sqgen.textproc import (
     InvalidCorpus,
     InvalidSize,
     InvalidTokenId,
+    Vocab,
     decode,
     encode,
     load_vocab,
@@ -128,11 +132,39 @@ class TestSaveLoad:
         assert encode(text, loaded) == encode(text, tiny_vocab)
 
     def test_token_spelled_like_the_sentinel_round_trips(self, tmp_path):
-        vocab = train_vocab(["x#MERGES " * 50, "y#MERGES " * 50], target_size=40, lowercase=False)
-        assert textproc.MERGE_SENTINEL in vocab.tokens
+        vocab = Vocab(
+            tokens=list(textproc.SPECIAL_TOKENS) + ["#", "M", "#M", "#MERGES", "ERGES"],
+            merges=[("#", "M"), ("#M", "ERGES")],
+        )
         path = tmp_path / "vocab.txt"
         save_vocab(vocab, str(path))
-        loaded = load_vocab(str(path), lowercase=False)
+        loaded = load_vocab(str(path))
+        assert loaded.tokens == vocab.tokens
+        assert loaded.merges == vocab.merges
+
+    def test_interrupted_save_keeps_the_previous_file(self, tiny_vocab, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        save_vocab(train_vocab(["a b c"], target_size=10), str(path))
+        before = path.read_bytes()
+        interrupt_writes(monkeypatch, writes=20)
+        with pytest.raises(KeyboardInterrupt):
+            save_vocab(tiny_vocab, str(path))
+        assert path.read_bytes() == before
+        assert temp_files(tmp_path) == []
+
+    # BPE tokens hold no whitespace: training splits words on it.
+    _token = st.text(
+        st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=6
+    )
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(tokens=st.lists(_token, max_size=12), merges=st.lists(st.tuples(_token, _token), max_size=8))
+    def test_round_trip_of_any_tokens_and_merges(self, tmp_path, tokens, merges):
+        vocab = Vocab(tokens=list(textproc.SPECIAL_TOKENS) + tokens, merges=merges)
+        path = tmp_path / "vocab.txt"
+        save_vocab(vocab, str(path))
+        loaded = load_vocab(str(path))
         assert loaded.tokens == vocab.tokens
         assert loaded.merges == vocab.merges
 
