@@ -2,8 +2,9 @@
 # End-to-end smoke drive of the `sqgen` CLI (installed, or from this checkout).
 #
 # Runs the whole pipeline on a tiny synthetic corpus in a scratch directory:
-# build-vocab -> prepare -> train -> generate (beam + nucleus) ->
-# eval gen / eval qa / eval correlate, asserting exit codes and artifacts.
+# build-vocab -> prepare -> train -> generate (beam + nucleus, and beam
+# again through --config) -> eval gen / eval qa / eval correlate, asserting
+# exit codes and artifacts.
 # Finishes in well under a minute on a laptop.
 set -eu
 
@@ -67,6 +68,21 @@ sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
     --mode nucleus --top-p 0.9 --temperature 1.0 --seed 7
 [ "$(wc -l < gen_beam.jsonl)" -eq 3 ]
 [ "$(wc -l < gen_nucleus.jsonl)" -eq 3 ]
+
+echo "== generate through --config (a typed file, then a string value)"
+echo '{"max_question": 8, "beam": 2, "lr": 0.5}' > settings.json
+sqgen --config settings.json generate --checkpoint run/best.ckpt \
+    --data prepared.jsonl --vocab vocab.txt --output gen_config.jsonl
+cmp gen_config.jsonl gen_beam.jsonl
+echo '{"beam": "2"}' > bad_settings.json
+rc=0
+sqgen --config bad_settings.json generate --checkpoint run/best.ckpt \
+    --data prepared.jsonl --vocab vocab.txt --output gen_bad.jsonl 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a string beam, got $rc"; exit 1; }
+grep -q '^error: bad_settings.json: beam: ' bad.err
+if grep -q Traceback bad.err; then echo "traceback for a string beam"; exit 1; fi
+test ! -e gen_bad.jsonl
+test ! -e gen_bad.jsonl.manifest.json
 
 echo "== eval gen (against the gold questions)"
 python3 - <<'EOF'
@@ -140,7 +156,7 @@ echo "== every manifest records a numeric wall time"
 python3 -c '
 import glob, json
 paths = sorted(glob.glob("**/*.manifest.json", recursive=True))
-assert len(paths) == 8, paths
+assert len(paths) == 9, paths
 for path in paths:
     wall = json.load(open(path, encoding="utf-8"))["wall_seconds"]
     assert isinstance(wall, (int, float)) and wall > 0, (path, wall)

@@ -6,6 +6,13 @@
     sqgen generate      beam / nucleus / greedy question generation
     sqgen eval          gen (overlap metrics), qa (scorer-based), correlate
 
+Each tunable setting is declared once, in `SETTINGS`, with its type. That
+one entry makes the flag of every subcommand taking it and types the key of
+the same name in a `--config` JSON file, which must hold a number the type
+keeps unchanged; a flag wins over the file, and the file's keys that the
+subcommand does not take are ignored. A setting given neither way keeps the
+default of the config dataclass or function it feeds.
+
 Every command that succeeds drops a `<output>.manifest.json` recording the
 command line, inputs, outputs, seed, settings, wall time and code version.
 Exit codes: 0 success, 2 input error, 3 numerical failure.
@@ -27,7 +34,7 @@ from datetime import datetime, timezone
 from . import corpus, decoding, files, genmetrics, qaeval, textproc, training
 from . import numerics as nm
 from .model import BertPgn, ModelConfig
-from .qaeval import AnnotationRecord, JointQaScorer, LexicalOverlapScorer
+from .qaeval import AnnotationRecord, LexicalOverlapScorer
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -84,10 +91,17 @@ class Done:
 
 # -- shared plumbing -----------------------------------------------------------
 
+# Every tunable setting and its type: the flag `--max-context` and the
+# `--config` key `max_context` both set `args.max_context`, else it stays None.
+SETTINGS = {
+    "size": int, "max_context": int, "max_question": int, "lr": float,
+    "batch_size": int, "epochs": int, "seed": int, "split_ratio": float,
+    "d_model": int, "n_heads": int, "encoder_layers": int, "decoder_lm_layers": int,
+    "cross_layers": int, "ffn_dim": int, "beam": int, "top_p": float, "temperature": float,
+}
 
-def _load_config_file(path: str | None) -> dict:
-    if not path:
-        return {}
+
+def _load_config_file(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
             data = json.load(f)
@@ -98,12 +112,36 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+def _apply_config(args: argparse.Namespace) -> None:
+    """Check every `--config` value of a setting this command takes: a JSON
+    number its type keeps unchanged. Fill each such setting no flag gave."""
+    if not args.config:
+        return
+    for key, value in _load_config_file(args.config).items():
+        kind = SETTINGS.get(key)
+        if kind is None or key not in vars(args):
+            continue  # not a setting of this subcommand
+        try:
+            typed = kind(value) if type(value) in (int, float) else None
+        except (OverflowError, ValueError):  # int() of inf or nan
+            typed = None
+        if typed is None or typed != value:
+            raise ValueError(
+                f"{args.config}: {key}: {json.dumps(value)} is not a JSON {kind.__name__}"
+            )
+        if getattr(args, key) is None:
+            setattr(args, key, typed)
+
+
 def _setting(args: argparse.Namespace, name: str, default):
-    """Flag value if given, else config-file value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return args._file_config.get(name, default)
+    """The setting's value from a flag or the config file, else `default`."""
+    value = getattr(args, name)
+    return default if value is None else value
+
+
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named settings that a flag or the config file gave."""
+    return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
 def _question_row(obj: dict) -> tuple[str, str]:
@@ -177,14 +215,8 @@ def cmd_prepare(args: argparse.Namespace) -> Done:
 def _model_config_from_args(args: argparse.Namespace, vocab_size: int) -> ModelConfig:
     return ModelConfig(
         vocab_size=vocab_size,
-        d_model=_setting(args, "d_model", 64),
-        n_heads=_setting(args, "n_heads", 4),
-        encoder_layers=_setting(args, "encoder_layers", 2),
-        decoder_lm_layers=_setting(args, "decoder_lm_layers", 2),
-        cross_layers=_setting(args, "cross_layers", 2),
-        ffn_dim=_setting(args, "ffn_dim", 128),
-        max_context=_setting(args, "max_context", corpus.MAX_CONTEXT_TOKENS),
-        max_question=_setting(args, "max_question", corpus.MAX_QUESTION_TOKENS),
+        **_given(args, "d_model", "n_heads", "encoder_layers", "decoder_lm_layers",
+                 "cross_layers", "ffn_dim", "max_context", "max_question"),
         use_pointer=not args.no_pointer,
         use_decoder_lm=not args.no_decoder_lm,
         use_type_ids=not args.no_type_ids,
@@ -192,26 +224,20 @@ def _model_config_from_args(args: argparse.Namespace, vocab_size: int) -> ModelC
 
 
 def cmd_train(args: argparse.Namespace) -> Done:
+    cfg = training.TrainConfig(**_given(args, "lr", "batch_size", "epochs", "seed"))
     vocab = textproc.load_vocab(args.vocab)
     examples = corpus.read_prepared(args.data)
     if not examples:
         raise ValueError(f"{args.data}: no examples")
-    seed = _setting(args, "seed", 0)
 
     if args.dev:
         split = corpus.DatasetSplit(train=examples, dev=corpus.read_prepared(args.dev))
     else:
-        ratio = _setting(args, "split_ratio", 0.9)
-        split = corpus.split_dataset(examples, ratio=ratio, seed=seed)
+        ratio = {} if args.split_ratio is None else {"ratio": args.split_ratio}
+        split = corpus.split_dataset(examples, seed=cfg.seed, **ratio)
 
     config = _model_config_from_args(args, vocab_size=len(vocab))
-    model = BertPgn(config, seed=seed)
-    cfg = training.TrainConfig(
-        lr=_setting(args, "lr", 5e-5),
-        batch_size=_setting(args, "batch_size", 10),
-        epochs=_setting(args, "epochs", 20),
-        seed=seed,
-    )
+    model = BertPgn(config, seed=cfg.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     log_path = os.path.join(args.out_dir, "train_log.csv")
     result = training.train(
@@ -225,7 +251,7 @@ def cmd_train(args: argparse.Namespace) -> Done:
         os.path.join(args.out_dir, "train"),
         [args.data, args.vocab] + ([args.dev] if args.dev else []),
         [os.path.join(args.out_dir, "best.ckpt"), log_path],
-        seed=seed,
+        seed=cfg.seed,
         settings={"model": asdict(config), "train": asdict(cfg)},
     )
 
@@ -243,7 +269,7 @@ def cmd_generate(args: argparse.Namespace) -> Done:
     beam = _setting(args, "beam", decoding.DEFAULT_BEAM)
     top_p = _setting(args, "top_p", decoding.DEFAULT_TOP_P)
     temperature = _setting(args, "temperature", decoding.DEFAULT_TEMPERATURE)
-    seed = _setting(args, "seed", 0)
+    seed = _setting(args, "seed", decoding.DEFAULT_SEED)
     used = {"beam": {"beam": beam}, "nucleus": {"top_p": top_p, "temperature": temperature}}
     decoding.check_settings(max_len=max_len, **used.get(args.mode, {}))
 
@@ -335,13 +361,7 @@ def _eval_qa(args: argparse.Namespace) -> Done:
         source = corpus.clean_article(article) if args.context_source == "article" else highlights
         contexts[cid] = textproc.encode(source, vocab)
 
-    if args.scorer == "joint":
-        if not args.scorer_ckpt:
-            raise ValueError("--scorer joint needs --scorer-ckpt")
-        scorer = JointQaScorer.from_checkpoint(args.scorer_ckpt)
-    else:
-        scorer = LexicalOverlapScorer()
-
+    scorer = LexicalOverlapScorer()
     tag = args.model_tag
     rows: list[tuple[str, float, float]] = []
     for rid, text in questions:
@@ -373,7 +393,7 @@ def _eval_qa(args: argparse.Namespace) -> Done:
     return Done(
         scatter_csv, [args.questions, args.contexts, args.vocab],
         [scatter_csv, means_csv, svg_path],
-        settings={"scorer": args.scorer, "context_source": args.context_source, "n": len(rows)},
+        settings={"scorer": "lexical", "context_source": args.context_source, "n": len(rows)},
     )
 
 
@@ -500,15 +520,20 @@ def scatter_svg(
 # -- parser ---------------------------------------------------------------------
 
 
+def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument("--" + name.replace("_", "-"), type=SETTINGS[name])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="sqgen", description=__doc__)
-    parser.add_argument("--config", help="JSON file of default settings; flags win")
+    parser.add_argument("--config", help="JSON object of numeric settings; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-vocab", help="learn a subword vocabulary")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--size", type=int, default=None)
+    _add_settings(p, "size")
     p.add_argument("--kind", choices=("nq", "news", "text"), default="text")
     p.set_defaults(func=cmd_build_vocab)
 
@@ -517,8 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--max-context", dest="max_context", type=int, default=None)
-    p.add_argument("--max-question", dest="max_question", type=int, default=None)
+    _add_settings(p, "max_context", "max_question")
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("train", help="train the generator")
@@ -526,19 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", default=None)
     p.add_argument("--vocab", required=True)
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--split-ratio", dest="split_ratio", type=float, default=None)
-    p.add_argument("--d-model", dest="d_model", type=int, default=None)
-    p.add_argument("--n-heads", dest="n_heads", type=int, default=None)
-    p.add_argument("--encoder-layers", dest="encoder_layers", type=int, default=None)
-    p.add_argument("--decoder-lm-layers", dest="decoder_lm_layers", type=int, default=None)
-    p.add_argument("--cross-layers", dest="cross_layers", type=int, default=None)
-    p.add_argument("--ffn-dim", dest="ffn_dim", type=int, default=None)
-    p.add_argument("--max-context", dest="max_context", type=int, default=None)
-    p.add_argument("--max-question", dest="max_question", type=int, default=None)
+    _add_settings(
+        p, "lr", "batch_size", "epochs", "seed", "split_ratio", "d_model", "n_heads",
+        "encoder_layers", "decoder_lm_layers", "cross_layers", "ffn_dim", "max_context",
+        "max_question",
+    )
     p.add_argument("--no-pointer", action="store_true")
     p.add_argument("--no-decoder-lm", dest="no_decoder_lm", action="store_true")
     p.add_argument("--no-type-ids", dest="no_type_ids", action="store_true")
@@ -550,11 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--mode", choices=("beam", "nucleus", "greedy"), default="beam")
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--top-p", dest="top_p", type=float, default=None)
-    p.add_argument("--temperature", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-question", dest="max_question", type=int, default=None)
+    _add_settings(p, "beam", "top_p", "temperature", "seed", "max_question")
     p.add_argument(
         "--no-length-normalize", dest="no_length_normalize", action="store_true"
     )
@@ -582,8 +594,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("article", "highlights"),
         default="article",
     )
-    q.add_argument("--scorer", choices=("lexical", "joint"), default="lexical")
-    q.add_argument("--scorer-ckpt", dest="scorer_ckpt", default=None)
     q.add_argument("--model-tag", dest="model_tag", default="model")
     q.set_defaults(func=_eval_qa)
 
@@ -608,17 +618,13 @@ NUMERIC_ERRORS = (ArithmeticError,)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; on success write its manifest, timed from the
-    command's start to its end."""
+    """Check the `--config` file, run one command, and on success write its
+    manifest, timed from the command's start to its end."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     command = f"eval {args.eval_kind}" if args.command == "eval" else args.command
     try:
-        args._file_config = _load_config_file(args.config)
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        _apply_config(args)
         t0 = time.monotonic()
         done = args.func(args)
         write_manifest(

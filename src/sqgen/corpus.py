@@ -241,15 +241,15 @@ def row_error(path: str, line: int, exc: Exception) -> ValueError:
 
 def read_jsonl(path: str, build: Callable[[dict], T]) -> Iterator[T]:
     """Yield `build(obj)` for each JSON object line of a file; blank lines
-    are skipped. A line that is not JSON, not an object, or that `build`
-    rejects with a KeyError, TypeError or ValueError raises a ValueError
-    that starts with `path:line`."""
-    with open(path, encoding="utf-8") as f:
-        for n, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
+    are skipped. A line that is not UTF-8, not JSON, not an object, or that
+    `build` rejects with a KeyError, TypeError or ValueError raises a
+    ValueError that starts with `path:line`."""
+    with open(path, "rb") as f:
+        for n, raw in enumerate(f, 1):
             try:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise TypeError(f"expected a JSON object, got {type(obj).__name__}")

@@ -23,6 +23,7 @@ from .textproc import BOS_ID, EOS_ID
 DEFAULT_BEAM = 3
 DEFAULT_TOP_P = 0.9
 DEFAULT_TEMPERATURE = 0.1
+DEFAULT_SEED = 0
 GREEDY_TEMPERATURE = 1e-6  # at or below this, sampling collapses to argmax
 
 
@@ -166,7 +167,7 @@ def nucleus_sample(
     context,
     top_p: float = DEFAULT_TOP_P,
     temperature: float = DEFAULT_TEMPERATURE,
-    seed: int = 0,
+    seed: int = DEFAULT_SEED,
     max_len: int = 50,
 ) -> Hypothesis:
     """Seeded nucleus sampling; logprob records the model's own (unfiltered)

@@ -84,19 +84,6 @@ class ModelConfig:
         if self.max_context < 1 or self.max_question < 1:
             raise ConfigError("max_context and max_question must be >= 1")
 
-    @classmethod
-    def full_scale(cls, vocab_size: int = 30522) -> "ModelConfig":
-        """Full-size preset: 12-layer stacks, 12 heads, 3072-wide FFNs."""
-        return cls(
-            vocab_size=vocab_size,
-            d_model=768,
-            n_heads=12,
-            encoder_layers=12,
-            decoder_lm_layers=12,
-            cross_layers=2,
-            ffn_dim=3072,
-        )
-
 
 @dataclass
 class EncodedContext:
@@ -471,9 +458,8 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
 
 
-def load_checkpoint(path: str, config_cls=None):
-    """Read a checkpoint back; config_cls picks the config dataclass to
-    rebuild (the generator's ModelConfig by default)."""
+def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
+    """Read a checkpoint back: its config and its arrays by name."""
     with open(path, "rb") as fh:
         raw = fh.read()
     head, sep, blob = raw.partition(b"\n")
@@ -486,7 +472,7 @@ def load_checkpoint(path: str, config_cls=None):
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     try:
-        config = (config_cls or ModelConfig)(**manifest["config"])
+        config = ModelConfig(**manifest["config"])
     except TypeError as exc:
         raise CheckpointError(f"{path}: config does not fit the expected model") from exc
     arrays: dict[str, np.ndarray] = {}

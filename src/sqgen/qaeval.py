@@ -16,14 +16,13 @@ The module also carries the human-evaluation side: unanimity tallies over
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from . import numerics as nm
-from .model import ParamBuilder, _block, load_checkpoint, save_checkpoint
+from .model import ParamBuilder, _block
 from .numerics import ConfigError, Tensor
 from .textproc import BOS_ID, EOS_ID
 
@@ -420,32 +419,3 @@ class JointQaScorer:
             + nm.log(p_type[example.qa_type])
         )
         return nm.neg(nm.reshape(total, ()))
-
-    def fit(self, examples: list[QaExample], epochs: int = 50, lr: float = 1e-3, seed: int = 0) -> float:
-        """Adam training to convergence on small sets; returns the final mean loss."""
-        from .training import AdamState, TrainConfig, adam_step
-
-        cfg = TrainConfig(lr=lr, seed=seed)
-        state = AdamState()
-        last = math.inf
-        order_rng = random.Random(seed)
-        for _ in range(epochs):
-            order = list(range(len(examples)))
-            order_rng.shuffle(order)
-            total = 0.0
-            for i in order:
-                loss = self.loss(examples[i])
-                grads = nm.grad_map(loss, self.params)
-                adam_step(self.params, grads, state, cfg)
-                total += float(loss.item())
-            last = total / max(1, len(examples))
-        return last
-
-    def save(self, path: str) -> None:
-        save_checkpoint(path, self.config, self.params)
-
-    @classmethod
-    def from_checkpoint(cls, path: str) -> "JointQaScorer":
-        config, arrays = load_checkpoint(path, config_cls=QaConfig)
-        params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        return cls(config, params=params)

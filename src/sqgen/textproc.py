@@ -30,7 +30,7 @@ DEFAULT_VOCAB_SIZE = 8000
 
 
 class InvalidCorpus(ValueError):
-    """Vocabulary training got an empty corpus."""
+    """Vocabulary training got an empty corpus, or a vocabulary file is malformed."""
 
 
 class InvalidSize(ValueError):
@@ -217,15 +217,26 @@ def save_vocab(vocab: Vocab, path: str) -> None:
 
 
 def load_vocab(path: str) -> Vocab:
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    """Read what `save_vocab` wrote; a malformed file raises InvalidCorpus
+    naming `path:line`."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InvalidCorpus(f"{path}:{line}: {exc}") from exc
     # Token lines hold no space and merge lines always do, so the sentinel is
     # the last such line even when a learned token is spelled like it.
     if MERGE_SENTINEL not in lines:
         raise InvalidCorpus(f"{path} has no {MERGE_SENTINEL} section")
     sentinel = len(lines) - 1 - lines[::-1].index(MERGE_SENTINEL)
-    tokens = lines[:sentinel]
-    merges = [tuple(line.split(" ", 1)) for line in lines[sentinel + 1 :] if line]
-    return Vocab(tokens=tokens, merges=[(a, b) for a, b in merges])
+    merges = []
+    for n, line in enumerate(lines[sentinel + 1 :], sentinel + 2):
+        if not line:
+            continue
+        a, space, b = line.partition(" ")
+        if not space:
+            raise InvalidCorpus(f"{path}:{n}: merge line {line!r} holds no space")
+        merges.append((a, b))
+    return Vocab(tokens=lines[:sentinel], merges=merges)

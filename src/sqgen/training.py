@@ -31,6 +31,10 @@ class InvalidDataset(ValueError):
     """Perplexity over an empty dataset is undefined."""
 
 
+class InvalidTrainConfig(ValueError):
+    """A training setting is out of range."""
+
+
 class TrainingDiverged(ArithmeticError):
     """Loss became non-finite."""
 
@@ -44,6 +48,14 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise InvalidTrainConfig(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise InvalidTrainConfig(f"epochs must be >= 0, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise InvalidTrainConfig(f"lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass

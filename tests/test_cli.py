@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -745,7 +746,9 @@ def malformed_case(kind, ws, t):
 
 
 @pytest.mark.parametrize("kind", ["prepared", "nq", "news", "candidates"])
-@pytest.mark.parametrize("defect", ["wrong_type", "missing", "not_an_object", "not_json"])
+@pytest.mark.parametrize(
+    "defect", ["wrong_type", "missing", "not_an_object", "not_json", "not_utf8"]
+)
 def test_malformed_jsonl_row_exits_2_naming_file_and_line(
     kind, defect, workspace, tmp_path, capsys
 ):
@@ -755,9 +758,10 @@ def test_malformed_jsonl_row_exits_2_naming_file_and_line(
         "missing": json.dumps({k: v for k, v in good.items() if k != field}),
         "not_an_object": "[1, 2]",
         "not_json": '{"id": ',
+        "not_utf8": '{"id": "\udcff"}',  # written as the byte 0xff
     }[defect]
     path = tmp_path / "in.jsonl"
-    path.write_text(json.dumps(good) + "\n\n" + bad + "\n", encoding="utf-8")
+    path.write_bytes((json.dumps(good) + "\n\n" + bad + "\n").encode("utf-8", "surrogateescape"))
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_INPUT
     err = capsys.readouterr().err
@@ -777,3 +781,116 @@ def test_malformed_scores_row_exits_2_naming_file_and_line(tmp_path, capsys):
          "--output", str(tmp_path / "corr.json")]
     ) == cli.EXIT_INPUT
     assert capsys.readouterr().err.startswith(f"error: {scores}:3: ")
+
+
+@pytest.mark.parametrize("defect", ["merge_without_space", "not_utf8"])
+def test_malformed_vocab_exits_2_naming_file_and_line(defect, workspace, tmp_path, capsys):
+    vocab = tmp_path / "vocab.txt"
+    lines = open(workspace["vocab"], "rb").read().splitlines()
+    bad = {"merge_without_space": b"abc", "not_utf8": b"a \xff"}[defect]
+    vocab.write_bytes(b"\n".join(lines + [bad]) + b"\n")
+    capsys.readouterr()
+    assert cli.main(
+        ["prepare", "--kind", "nq", "--input", workspace["raw"], "--output",
+         str(tmp_path / "p.jsonl"), "--vocab", str(vocab)]
+    ) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {vocab}:{len(lines) + 1}: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
+
+
+def subcommands(parser, prefix=""):
+    """{'train': parser, 'eval gen': parser, ...} for every leaf subcommand."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(subcommands(sub, prefix + name + " ") or {prefix + name: sub})
+    return found
+
+
+def settings_taken():
+    """(subcommand, setting) for each setting of the table that a subcommand takes."""
+    return [
+        (command, action.dest)
+        for command, sub in subcommands(cli.build_parser()).items()
+        for action in sub._actions
+        if action.dest in cli.SETTINGS
+    ]
+
+
+def test_every_setting_is_taken_by_some_subcommand():
+    assert {name for _, name in settings_taken()} == set(cli.SETTINGS)
+
+
+def test_option_strings_of_each_subcommand_are_pinned():
+    options = {
+        command: sorted(o for action in sub._actions for o in action.option_strings)
+        for command, sub in subcommands(cli.build_parser()).items()
+    }
+    assert options == {
+        "build-vocab": ["--help", "--input", "--kind", "--output", "--size", "-h"],
+        "prepare": ["--help", "--input", "--kind", "--max-context", "--max-question",
+                    "--output", "--vocab", "-h"],
+        "train": ["--batch-size", "--cross-layers", "--d-model", "--data",
+                  "--decoder-lm-layers", "--dev", "--encoder-layers", "--epochs", "--ffn-dim",
+                  "--help", "--lr", "--max-context", "--max-question", "--n-heads",
+                  "--no-decoder-lm", "--no-pointer", "--no-type-ids", "--out-dir", "--seed",
+                  "--split-ratio", "--vocab", "-h"],
+        "generate": ["--beam", "--checkpoint", "--data", "--help", "--max-question", "--mode",
+                     "--no-length-normalize", "--output", "--seed", "--temperature", "--top-p",
+                     "--vocab", "-h"],
+        "eval gen": ["--candidates", "--help", "--output", "--per-example", "--references",
+                     "--vocab", "-h"],
+        "eval qa": ["--context-source", "--contexts", "--help", "--model-tag",
+                    "--output-prefix", "--questions", "--vocab", "-h"],
+        "eval correlate": ["--annotations", "--help", "--output", "--scores",
+                           "--unanimity-output", "-h"],
+    }
+
+
+@pytest.mark.parametrize("command,key,value", [
+    (command, key, value)
+    for command, key in settings_taken()
+    for value in ("3", True, None) + ((1.5,) if cli.SETTINGS[key] is int else ())
+])
+def test_config_value_of_the_wrong_kind_exits_2_naming_file_and_key(
+    command, key, value, workspace, tmp_path, capsys
+):
+    argv, _ = command_argv(command, workspace, tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    assert cli.main(["--config", str(cfg), *argv]) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {cfg}: {key}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_config_keys_the_subcommand_does_not_take_are_ignored(workspace, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"beam": "3", "lr": None, "colour": "red", "size": 60}),
+                   encoding="utf-8")
+    out = str(tmp_path / "v.txt")
+    assert cli.main(
+        ["--config", str(cfg), "build-vocab", "--input", workspace["corpus"], "--output", out]
+    ) == cli.EXIT_OK
+    manifest = json.loads(open(out + ".manifest.json", encoding="utf-8").read())
+    assert manifest["settings"]["size"] == 60
+
+
+def test_config_numbers_take_the_setting_type(workspace, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"epochs": 0.0, "lr": 1, "batch_size": 2}), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert cli.main(
+        ["--config", str(cfg), "train", "--data", workspace["prepared"], "--vocab",
+         workspace["vocab"], "--out-dir", str(out_dir), *TINY_MODEL_FLAGS]
+    ) == cli.EXIT_OK
+    train = json.loads((out_dir / "train.manifest.json").read_text())["settings"]["train"]
+    assert (train["epochs"], train["lr"], train["batch_size"]) == (0, 1.0, 2)
+    assert isinstance(train["epochs"], int) and isinstance(train["lr"], float)

@@ -38,18 +38,6 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**{**TOY, "vocab_size": 4})
 
-    def test_full_scale_preset(self):
-        cfg = ModelConfig.full_scale()
-        assert cfg.d_model == 768
-        assert cfg.n_heads == 12
-        assert cfg.encoder_layers == 12
-        assert cfg.decoder_lm_layers == 12
-        assert cfg.cross_layers == 2
-        assert cfg.ffn_dim == 3072
-        assert cfg.vocab_size == 30522
-        assert cfg.max_context == 500
-        assert cfg.max_question == 50
-
 
 class TestEmbedInputs:
     def test_position_contribution_is_additive(self):

@@ -15,6 +15,7 @@ from sqgen.training import (
     AdamState,
     InvalidDataset,
     InvalidTarget,
+    InvalidTrainConfig,
     TrainConfig,
     TrainingDiverged,
     adam_step,
@@ -82,6 +83,19 @@ class TestPinnedGradients:
             total = total + extra
         grads = nm.grad_map(total, m.params)
         assert params_digest({k: nm.Tensor(g) for k, g in grads.items()}) == digest
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("overrides", [
+        {"batch_size": 0}, {"epochs": -1}, {"lr": 0.0}, {"lr": -1e-3},
+        {"lr": math.inf}, {"lr": math.nan},
+    ])
+    def test_out_of_range_setting_rejected(self, overrides):
+        with pytest.raises(InvalidTrainConfig):
+            TrainConfig(**overrides)
+
+    def test_zero_epochs_is_valid(self):
+        assert TrainConfig(epochs=0).epochs == 0
 
 
 class TestAdamStep:
