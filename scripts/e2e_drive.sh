@@ -170,4 +170,21 @@ echo "== exit codes"
 rc=0; sqgen build-vocab --input missing.txt --output v.txt || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 for missing input, got $rc"; exit 1; }
 
+printf 'what is the capital\nparis is \377\n' > bad_corpus.txt
+rc=0; sqgen build-vocab --kind text --input bad_corpus.txt --output bad_vocab.txt \
+    2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a non-UTF-8 corpus, got $rc"; exit 1; }
+grep -q '^error: bad_corpus.txt:2: ' bad.err
+if grep -q Traceback bad.err; then echo "traceback for a non-UTF-8 corpus"; exit 1; fi
+test ! -e bad_vocab.txt
+
+rc=0; sqgen prepare --kind nq --input raw.jsonl --output bad_prepared.jsonl \
+    --vocab vocab.txt --max-context -1 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for --max-context -1, got $rc"; exit 1; }
+grep -q '^error: max_context must be >= 1' bad.err
+if grep -q Traceback bad.err; then echo "traceback for --max-context -1"; exit 1; fi
+test ! -e bad_prepared.jsonl
+leftover=$(find . -name '.*.tmp')
+[ -z "$leftover" ] || { echo "temporary files left: $leftover"; exit 1; }
+
 echo "e2e drive OK"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import html
+import io
 import json
 import os
 import subprocess
@@ -163,8 +164,7 @@ def cmd_build_vocab(args: argparse.Namespace) -> Done:
             lines.append(corpus.clean_article(article))
             lines.append(highlights)
     else:
-        with open(args.input, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        lines = files.read_text(args.input).splitlines()
     vocab = textproc.train_vocab(lines, target_size=size)
     textproc.save_vocab(vocab, args.output)
     print(f"vocab of {len(vocab)} tokens -> {args.output}", file=sys.stderr)
@@ -173,9 +173,12 @@ def cmd_build_vocab(args: argparse.Namespace) -> Done:
 
 
 def cmd_prepare(args: argparse.Namespace) -> Done:
-    vocab = textproc.load_vocab(args.vocab)
     max_context = _setting(args, "max_context", corpus.MAX_CONTEXT_TOKENS)
     max_question = _setting(args, "max_question", corpus.MAX_QUESTION_TOKENS)
+    for name, value in (("max_context", max_context), ("max_question", max_question)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    vocab = textproc.load_vocab(args.vocab)
 
     if args.kind == "nq":
         results = [
@@ -399,13 +402,12 @@ def _eval_qa(args: argparse.Namespace) -> Done:
 
 def _eval_correlate(args: argparse.Namespace) -> Done:
     scores: dict[str, tuple[float, float]] = {}
-    with open(args.scores, encoding="utf-8", newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            try:
-                scores[row["id"]] = (float(row["s_ans"]), float(row["s_gra"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise corpus.row_error(args.scores, reader.line_num, exc) from exc
+    reader = csv.DictReader(io.StringIO(files.read_text(args.scores), newline=""))
+    for row in reader:
+        try:
+            scores[row["id"]] = (float(row["s_ans"]), float(row["s_gra"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise corpus.row_error(args.scores, reader.line_num, exc) from exc
     annotations = list(corpus.read_jsonl(
         args.annotations,
         lambda obj: AnnotationRecord(

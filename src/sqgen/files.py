@@ -8,6 +8,9 @@ exclusively, so no existing file is ever opened and a file left by a killed
 process never blocks a later write. No fsync: this rules out torn files,
 not loss on power failure. Text is UTF-8 with bare newlines; JSON is
 indented and key-sorted, JSONL one key-sorted object a line.
+
+`read_text` is the one reader of a whole text input: a byte that is not
+UTF-8 fails with the file and line named.
 """
 
 from __future__ import annotations
@@ -36,6 +39,18 @@ def replacing(path: str, binary: bool = False) -> Iterator[IO]:
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; a byte that is not UTF-8 raises a ValueError
+    that starts with `path:line`."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{line}: {exc}") from None
 
 
 def write_json(path: str, obj) -> None:

@@ -10,6 +10,7 @@ so a vocabulary file needs no case setting.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -81,12 +82,21 @@ def _word_symbols(word: str) -> tuple[str, ...]:
 def train_vocab(corpus: list[str], target_size: int = DEFAULT_VOCAB_SIZE) -> Vocab:
     """Learn a byte-pair vocabulary of at most target_size entries.
 
-    Greedy highest-frequency pair merging over whitespace-split words; ties
-    are broken by the lexicographic order of the merged string, which makes
-    training deterministic. Pair counts and the words holding each pair are
-    updated incrementally, so a merge only rewrites the words that contain it;
-    choosing the merge still scans every pair (a `max` over the counts, then a
-    `min` over the ties), so training costs O(merges x pairs).
+    Greedy pair merging over whitespace-split words. Each merge is the pair
+    with the highest count; ties go to the smallest merged string, then to
+    the smallest pair tuple, so ("a", "bc") beats ("ab", "c"). Training is
+    therefore deterministic.
+
+    Pair counts and the words holding each pair are updated incrementally, so
+    a merge only rewrites the words that contain it. The merge is chosen from
+    a lazy max-heap of (-count, merged string, pair): an entry whose count is
+    out of date is popped when it reaches the top, and pushed back at the
+    current count while the pair still occurs. A merge can raise only the
+    counts of pairs holding the merged symbol, and only those are pushed
+    after it; every other count can only fall. Training costs O(P log P)
+    heap work for P pushed pairs plus, per merge, the rewrite of the words
+    holding the chosen pair, instead of a scan over every pair on every
+    merge.
     """
     if not corpus:
         raise InvalidCorpus("corpus is empty")
@@ -120,18 +130,25 @@ def train_vocab(corpus: list[str], target_size: int = DEFAULT_VOCAB_SIZE) -> Voc
             pair_freq[(a, b)] += f
             pair_words.setdefault((a, b), set()).add(wi)
 
+    heap = [(-f, a + b, (a, b)) for (a, b), f in pair_freq.items()]
+    heapq.heapify(heap)
+
     while len(tokens) < target_size and pair_freq:
-        best_freq = max(pair_freq.values())
-        best = min(
-            (p for p, f in pair_freq.items() if f == best_freq),
-            key=lambda p: p[0] + p[1],
-        )
-        merged = best[0] + best[1]
+        while True:
+            neg_freq, merged, best = heap[0]
+            freq = pair_freq.get(best, 0)
+            if -neg_freq == freq:
+                break
+            if freq:
+                heapq.heapreplace(heap, (-freq, merged, best))
+            else:
+                heapq.heappop(heap)
         merges.append(best)
         if merged not in known:
             tokens.append(merged)
             known.add(merged)
 
+        raised: set[tuple[str, str]] = set()
         for wi in sorted(pair_words.get(best, ())):
             w = words[wi]
             f = freqs[wi]
@@ -158,6 +175,10 @@ def train_vocab(corpus: list[str], target_size: int = DEFAULT_VOCAB_SIZE) -> Voc
             for a, b in zip(new_w, new_w[1:]):
                 pair_freq[(a, b)] += f
                 pair_words.setdefault((a, b), set()).add(wi)
+                if a == merged or b == merged:
+                    raised.add((a, b))
+        for a, b in raised:
+            heapq.heappush(heap, (-pair_freq[(a, b)], a + b, (a, b)))
 
     return Vocab(tokens=tokens, merges=merges)
 
@@ -219,13 +240,10 @@ def save_vocab(vocab: Vocab, path: str) -> None:
 def load_vocab(path: str) -> Vocab:
     """Read what `save_vocab` wrote; a malformed file raises InvalidCorpus
     naming `path:line`."""
-    with open(path, "rb") as f:
-        data = f.read()
     try:
-        lines = data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise InvalidCorpus(f"{path}:{line}: {exc}") from exc
+        lines = files.read_text(path).splitlines()
+    except ValueError as exc:
+        raise InvalidCorpus(str(exc)) from None
     # Token lines hold no space and merge lines always do, so the sentinel is
     # the last such line even when a learned token is spelled like it.
     if MERGE_SENTINEL not in lines:

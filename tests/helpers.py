@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import hashlib
+import random
 
 import numpy as np
 
@@ -67,6 +68,17 @@ def copy_task(
             )
         )
     return examples
+
+
+def zipf_corpus() -> list[str]:
+    """1200 seeded lines of 5-15 words drawn with weight 1/rank from 2000
+    random word types of 2-9 letters over 'a'..'p', so BPE sees a realistic
+    count spread."""
+    rng = random.Random(11)
+    types = ["".join(rng.choice("abcdefghijklmnop") for _ in range(rng.randint(2, 9)))
+             for _ in range(2000)]
+    weights = [1.0 / rank for rank in range(1, len(types) + 1)]
+    return [" ".join(rng.choices(types, weights, k=rng.randint(5, 15))) for _ in range(1200)]
 
 
 class _InterruptingFile:

@@ -103,6 +103,42 @@ def best_span(p_start: np.ndarray, p_end: np.ndarray) -> tuple[int, int, float]:
     return top
 
 
+# -- BPE training by a full scan ------------------------------------------------
+
+
+def scan_train_vocab(
+    corpus: list[str], target_size: int
+) -> tuple[list[str], list[tuple[str, str]]]:
+    """(tokens, merges) of byte-pair training that recounts every pair of
+    every word before each merge and takes the minimum of the explicit key
+    (-count, merged string, pair) over all of them."""
+    word_counts = Counter(w for line in corpus for w in line.lower().split())
+    words = {word: ["▁" + word[0], *word[1:]] for word in word_counts}
+    tokens = ["[PAD]", "[UNK]", "[BOS]", "[EOS]"]
+    tokens += sorted({sym for symbols in words.values() for sym in symbols})
+    merges: list[tuple[str, str]] = []
+    while len(tokens) < target_size:
+        counts: Counter = Counter()
+        for word, symbols in words.items():
+            for pair in zip(symbols, symbols[1:]):
+                counts[pair] += word_counts[word]
+        if not counts:
+            break
+        a, b = min(counts, key=lambda pair: (-counts[pair], pair[0] + pair[1], pair))
+        merges.append((a, b))
+        if a + b not in tokens:
+            tokens.append(a + b)
+        for word, symbols in words.items():
+            out: list[str] = []
+            for sym in symbols:
+                if out and out[-1] == a and sym == b:
+                    out[-1] = a + b
+                else:
+                    out.append(sym)
+            words[word] = out
+    return tokens, merges
+
+
 # -- exhaustive sequence search (beam oracle) ---------------------------------
 
 

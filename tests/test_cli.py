@@ -800,6 +800,69 @@ def test_malformed_vocab_exits_2_naming_file_and_line(defect, workspace, tmp_pat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
 
 
+def test_non_utf8_text_corpus_exits_2_naming_file_and_line(tmp_path, capsys):
+    corpus_txt = tmp_path / "corpus.txt"
+    corpus_txt.write_bytes(b"what is the capital\nparis is \xff\n")
+    capsys.readouterr()
+    assert cli.main(
+        ["build-vocab", "--kind", "text", "--input", str(corpus_txt),
+         "--output", str(tmp_path / "v.txt")]
+    ) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"error: {corpus_txt}:2: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
+
+
+def test_non_utf8_scores_csv_exits_2_naming_file_and_line(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_bytes(b"id,s_ans,s_gra,model_tag\nhi,5.0,1.0,toy\nlo,-5.0,-1.0,t\xff\n")
+    annotations = tmp_path / "ann.jsonl"
+    write_span_annotations(annotations, {"hi": True, "lo": False})
+    capsys.readouterr()
+    assert cli.main(
+        ["eval", "correlate", "--scores", str(scores), "--annotations", str(annotations),
+         "--output", str(tmp_path / "corr.json")]
+    ) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"error: {scores}:3: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl", "scores.csv"]
+
+
+# Neither input exists, so only a check made before any read can name the setting.
+PREPARE_MISSING_INPUTS = ["prepare", "--kind", "nq", "--input", "missing.jsonl",
+                          "--vocab", "missing.txt"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--max-context", "-1"), ("--max-context", "0"), ("--max-question", "0"),
+])
+def test_prepare_length_below_1_from_a_flag_exits_2_naming_it(flag, value, tmp_path, capsys):
+    out = tmp_path / "p.jsonl"
+    capsys.readouterr()
+    assert cli.main([*PREPARE_MISSING_INPUTS, "--output", str(out), flag, value]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    name = flag[2:].replace("-", "_")
+    assert err.startswith(f"error: {name} must be >= 1, got {value}")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", ["max_context", "max_question"])
+def test_prepare_length_below_1_from_config_exits_2_naming_it(key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: -1}), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(
+        ["--config", str(cfg), *PREPARE_MISSING_INPUTS, "--output", str(tmp_path / "p.jsonl")]
+    ) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be >= 1, got -1")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 def subcommands(parser, prefix=""):
     """{'train': parser, 'eval gen': parser, ...} for every leaf subcommand."""
     found = {}

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import interrupt_writes, temp_files
+import oracles
+from helpers import interrupt_writes, temp_files, zipf_corpus
 from sqgen import textproc
 from sqgen.textproc import (
     BOS_ID,
@@ -72,6 +75,38 @@ class TestTrainVocab:
     def test_lowercases_by_default(self):
         vocab = train_vocab(["The Cat"], target_size=30)
         assert all(tok == tok.lower() for tok in vocab.tokens[4:])
+
+
+class TestMergeOrder:
+    """The heap's merge choice against a full scan, and pinned vocab bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_merges_match_a_full_scan(self, data):
+        # The word mark as a letter lets a merge respell a token already known.
+        letters = data.draw(st.lists(st.sampled_from("abc" + textproc.WORD_MARK),
+                                     min_size=2, max_size=4, unique=True))
+        word = st.text(st.sampled_from(letters), min_size=1, max_size=6)
+        lines = data.draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
+                                   min_size=1, max_size=5))
+        target = data.draw(st.integers(4 + len(letters) * 2, 60))
+        vocab = train_vocab(lines, target_size=target)
+        assert (vocab.tokens, vocab.merges) == oracles.scan_train_vocab(lines, target)
+
+    def test_merge_that_respells_a_known_token(self):
+        # The word starts with the symbol "▁▁" (mark + "▁"); the merge
+        # ("▁", "▁") spells that token again mid-word, so pairs holding it
+        # gain counts and must stay in play.
+        vocab = train_vocab(["▁a▁▁▁"], target_size=15)
+        assert vocab.merges[0] == ("▁", "▁")
+        assert (vocab.tokens, vocab.merges) == oracles.scan_train_vocab(["▁a▁▁▁"], 15)
+
+    def test_vocab_bytes_are_pinned(self, tmp_path):
+        # sha256 as the per-merge full scan of the parent commit wrote it
+        path = tmp_path / "vocab.txt"
+        save_vocab(train_vocab(zipf_corpus(), target_size=3000), str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "6f3c17d28a52efb64a720b57dc8e647b35600cd322b247feca80bb7dcaebfcbe"
 
 
 class TestEncode:
