@@ -57,7 +57,7 @@ sqgen train --data prepared.jsonl --dev prepared.jsonl --vocab vocab.txt \
 test -s run/best.ckpt
 test -s run/epoch_001.ckpt
 test -s run/epoch_002.ckpt
-head -1 run/train_log.csv | grep -q '^epoch,train_loss,dev_perplexity,wall_seconds$'
+head -1 run/train_log.csv | grep -q '^epoch,train_loss,dev_perplexity,wall_seconds,grad_norm,tokens_per_s$'
 
 echo "== generate (beam + nucleus)"
 sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \

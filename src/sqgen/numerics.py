@@ -9,7 +9,11 @@ same seed are bit-reproducible.
 Gradients flow through a recorded graph: each op closes over its inputs and
 appends local gradients to them when `backward` walks the graph in reverse
 topological order, in the style of the classic scalar autodiff tape but
-tensor-valued.
+tensor-valued. `backward` consumes the graph as it walks it: once a node has
+passed its gradient on, its gradient, closure and parent links are dropped,
+so the arrays it held are freed while the walk goes on, and a later backward
+that reaches it raises. Leaves (parameters) keep their `.grad`, which sums
+over backward calls until the caller clears it.
 """
 
 from __future__ import annotations
@@ -83,12 +87,24 @@ class Tensor:
         return out
 
     def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
+        """Add g to .grad without ever writing into an array the node does not
+        own: one op may hand the same g to two parents. The first g is kept
+        as is when it is writable and laid out like a fresh zeros_like(data),
+        so every later op reads the same memory order and sums the same bits;
+        any other g is copied into that layout."""
+        if self.grad is not None:
+            self.grad = np.add(self.grad, g, out=np.empty_like(self.data))
+        elif g.flags.writeable and g.strides == self.data.strides and self.data.flags.c_contiguous:
+            self.grad = g
+        else:
             self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad += g
 
     def backward(self) -> None:
-        """Fill .grad on every reachable tensor with requires_grad."""
+        """Fill .grad on every leaf reachable from this scalar, consuming the
+        graph: interior nodes give up their gradient, closure and parents as
+        soon as they have propagated, and a backward that reaches a consumed
+        node raises InvalidLoss."""
         if self.data.size != 1:
             raise InvalidLoss(f"backward root must be scalar, got shape {self.shape}")
         if not np.isfinite(self.data).all():
@@ -110,9 +126,12 @@ class Tensor:
                 stack.append((p, False))
 
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf keeps its .grad
+            node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
     # -- operator sugar ------------------------------------------------------
 
@@ -142,6 +161,10 @@ class Tensor:
 
     def __getitem__(self, key):
         return getitem(self, key)
+
+
+def _consumed(g: np.ndarray) -> None:
+    raise InvalidLoss("graph already consumed by backward")
 
 
 def _as_tensor(x) -> Tensor:
@@ -310,7 +333,10 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
 def getitem(a, key) -> Tensor:
     """out = a[key]; the gradient scatters back with np.add.at, so repeated
     indices accumulate. The one gather op: embedding and take_per_row are
-    getitem with their index built."""
+    getitem with their index built. The scatter goes into a fresh table,
+    which becomes a's .grad when a has none yet; adding repeated ids one by
+    one into an existing .grad would round differently from adding the
+    finished table."""
     a = _as_tensor(a)
 
     def backward(g):
@@ -487,11 +513,12 @@ def causal_mask(t: int, past: int = 0) -> np.ndarray:
 
 
 def grad_map(loss: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradients of a scalar loss for every named parameter (zeros if unused)."""
+    """Gradients of a scalar loss for every named parameter (zeros if unused).
+    The arrays are the parameters' own .grad, not copies."""
     for p in params.values():
         p.grad = None
     loss.backward()
     return {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
         for name, p in params.items()
     }

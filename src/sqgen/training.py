@@ -3,7 +3,10 @@
 The decoder input is BOS followed by the gold question; the targets are the
 gold question followed by EOS, so the model must learn to terminate. Batches
 are gradient-accumulated per example (equal example weight), which gives the
-same averaged step as padded batching without any mask bookkeeping.
+same averaged step as padded batching without any mask bookkeeping. Each
+example's loss is scaled by 1/batch and run backward before the next example
+is built, so only one example's graph is alive at a time; the parameter
+gradients sum in example order, the order one summed-batch graph would use.
 """
 
 from __future__ import annotations
@@ -67,10 +70,17 @@ class AdamState:
 
 @dataclass
 class EpochLog:
+    """One row of train_log.csv. grad_norm is the mean over the epoch's steps
+    of the global L2 norm of the batch gradient; tokens_per_s counts target
+    tokens (question + EOS) over the time spent in those steps, without the
+    dev perplexity and checkpoints that wall_seconds also covers."""
+
     epoch: int
     train_loss: float
     dev_perplexity: float
     wall_seconds: float
+    grad_norm: float
+    tokens_per_s: float
 
 
 @dataclass
@@ -125,6 +135,11 @@ def adam_step(
         params[name].data -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
 
 
+def grad_norm(grads: dict[str, np.ndarray]) -> float:
+    """Global L2 norm, squares summed in sorted parameter-name order."""
+    return math.sqrt(sum(float((grads[name] * grads[name]).sum()) for name in sorted(grads)))
+
+
 def perplexity(model: BertPgn, examples: list[PreparedExample]) -> float:
     """exp of the token-weighted mean NLL over the dataset."""
     if not examples:
@@ -171,6 +186,7 @@ def train(
     best_epoch = 0
     state = AdamState()
     log: list[EpochLog] = []
+    tokens = sum(len(ex.question_ids) + 1 for ex in split.train)  # + EOS
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.monotonic()
@@ -178,28 +194,39 @@ def train(
         random.Random(_epoch_seed(cfg.seed, epoch)).shuffle(order)
 
         epoch_loss = 0.0
+        norms = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [split.train[i] for i in order[start : start + cfg.batch_size]]
-            try:
-                losses = [nll_loss(model, ex) for ex in batch]
-            except nm.NumericalError as exc:
-                raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
-            total = losses[0]
-            for extra in losses[1:]:
-                total = total + extra
-            batch_loss = nm.mul(total, 1.0 / len(batch))
-            if not np.isfinite(batch_loss.data).all():
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            grads = nm.grad_map(batch_loss, model.params)
+            for p in model.params.values():
+                p.grad = None
+            total = 0.0
+            for ex in batch:
+                try:
+                    loss = nll_loss(model, ex)
+                except nm.NumericalError as exc:
+                    raise TrainingDiverged(f"epoch {epoch}: {exc}") from exc
+                if not np.isfinite(loss.data).all():
+                    raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+                total += loss.item()
+                nm.mul(loss, 1.0 / len(batch)).backward()
+            grads = {
+                name: p.grad if p.grad is not None else np.zeros_like(p.data)
+                for name, p in model.params.items()
+            }
+            norms.append(grad_norm(grads))
             adam_step(model.params, grads, state, cfg)
-            epoch_loss += float(batch_loss.item()) * len(batch)
+            batch_loss = total * (1.0 / len(batch))
+            epoch_loss += batch_loss * len(batch)
         train_loss = epoch_loss / len(order)
+        step_seconds = time.monotonic() - t0
 
         dev_ppl = perplexity(model, eval_set)
         if not math.isfinite(dev_ppl):
             raise TrainingDiverged(f"non-finite dev perplexity at epoch {epoch}")
         wall = time.monotonic() - t0
-        log.append(EpochLog(epoch, train_loss, dev_ppl, wall))
+        log.append(EpochLog(
+            epoch, train_loss, dev_ppl, wall, sum(norms) / len(norms), tokens / step_seconds
+        ))
 
         if checkpoint_dir is not None:
             save_checkpoint(

@@ -13,6 +13,9 @@ from collections import Counter
 
 import numpy as np
 
+from sqgen import numerics as nm
+from sqgen.training import nll_loss
+
 
 # -- BLEU (corpus-level, modified n-gram precision, brevity penalty) ----------
 
@@ -245,6 +248,22 @@ def fd_entry(loss_fn, array: np.ndarray, flat_index: int, h: float = 1e-5) -> fl
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
     """Relative error with an absolute floor so near-zero pairs compare sanely."""
     return abs(a - b) / max(floor, abs(a), abs(b))
+
+
+# -- training step ---------------------------------------------------------------
+
+
+def summed_graph_step(model, batch) -> tuple[dict[str, np.ndarray], float]:
+    """The batch gradient from one graph over the whole batch: the losses
+    summed left to right, scaled by 1/len(batch), then one backward. Returns
+    the gradients and the scaled batch loss."""
+    losses = [nll_loss(model, ex) for ex in batch]
+    total = losses[0]
+    for extra in losses[1:]:
+        total = total + extra
+    batch_loss = nm.mul(total, 1.0 / len(batch))
+    loss_value = float(batch_loss.item())
+    return nm.grad_map(batch_loss, model.params), loss_value
 
 
 # -- misc ----------------------------------------------------------------------

@@ -240,7 +240,7 @@ class TestTrain:
         assert (run / "epoch_001.ckpt").exists()
         assert (run / "epoch_002.ckpt").exists()
         log = read_lines(str(run / "train_log.csv"))
-        assert log[0] == "epoch,train_loss,dev_perplexity,wall_seconds"
+        assert log[0] == "epoch,train_loss,dev_perplexity,wall_seconds,grad_norm,tokens_per_s"
         assert len(log) == 3
         manifest = json.loads((run / "train.manifest.json").read_text())
         assert manifest["command"] == "train"
@@ -260,7 +260,7 @@ class TestTrain:
         assert (tmp_path / "run0" / "best.ckpt").exists()
         assert not list((tmp_path / "run0").glob("epoch_*.ckpt"))
         assert read_lines(str(tmp_path / "run0" / "train_log.csv")) == [
-            "epoch,train_loss,dev_perplexity,wall_seconds"
+            "epoch,train_loss,dev_perplexity,wall_seconds,grad_norm,tokens_per_s"
         ]
 
     def test_empty_dataset_exits_2(self, workspace, tmp_path):

@@ -18,10 +18,12 @@ def param(rng, *shape):
     return Tensor(rng.normal(0.0, 0.5, shape), requires_grad=True)
 
 
-def check_grads_by_fd(build_loss, params, rng, samples=6, tol=1e-6):
+def check_grads_by_fd(build_loss, params, rng, samples=6, tol=1e-6, grads=None):
     """Compare analytic gradients of scalar build_loss() against per-entry
-    central differences at sampled positions of every parameter."""
-    grads = nm.grad_map(build_loss(), params)
+    central differences at sampled positions of every parameter. The
+    gradients are grad_map over one build_loss() unless given."""
+    if grads is None:
+        grads = nm.grad_map(build_loss(), params)
 
     def loss_value():
         return float(build_loss().item())
@@ -225,6 +227,73 @@ class TestBackward:
         loss = nm.sum_(y + y)
         loss.backward()
         assert_allclose(x.grad, [8.0])
+
+    def test_second_backward_over_a_consumed_graph_raises(self):
+        x = Tensor([1.0, -2.0], requires_grad=True)
+        y = x * x
+        loss = nm.sum_(y)
+        loss.backward()
+        assert y.grad is None and loss.grad is None  # interior nodes released
+        assert_allclose(x.grad, [2.0, -4.0])  # the leaf keeps its gradient
+        with pytest.raises(InvalidLoss, match="consumed"):
+            loss.backward()
+
+    def test_backward_reaching_a_consumed_node_raises(self):
+        x = Tensor([3.0], requires_grad=True)
+        y = x * x
+        nm.sum_(y).backward()
+        with pytest.raises(InvalidLoss, match="consumed"):
+            nm.sum_(y * 2.0).backward()
+
+    def test_detached_scalar_backward_stays_a_no_op(self):
+        x = Tensor([1.0], requires_grad=True)
+        with nm.no_grad():
+            y = nm.sum_(x * x)
+        y.backward()
+        y.backward()
+        assert x.grad is None
+
+
+class TestGradientAliasing:
+    """An op may hand one gradient array to two parents, and a parameter's
+    .grad outlives the backward that filled it: no gradient may be written
+    through by a node that does not own it."""
+
+    def test_add_shares_its_gradient_with_both_parents(self):
+        rng = np.random.default_rng(42)
+        a, b = param(rng, 3, 4), param(rng, 3, 4)
+
+        def build():
+            s = a + b  # a and b both receive s's gradient first
+            return nm.sum_(s * s) + nm.sum_(a * 3.0) + nm.sum_(b * 5.0)
+
+        check_grads_by_fd(build, {"a": a, "b": b}, rng, samples=12)
+
+    def test_one_table_gathered_twice_with_repeated_ids(self):
+        rng = np.random.default_rng(42)
+        table = param(rng, 6, 3)
+        w1, w2 = rng.normal(size=(4, 3)), rng.normal(size=(3, 3))
+        build = lambda: (
+            nm.sum_(nm.embedding(table, [1, 4, 1, 1]) * Tensor(w1))
+            + nm.sum_(nm.embedding(table, [4, 0, 4]) * Tensor(w2))
+        )
+        check_grads_by_fd(build, {"table": table}, rng, samples=18)
+
+    def test_one_table_accumulates_over_two_backward_calls(self):
+        rng = np.random.default_rng(42)
+        table = param(rng, 6, 3)
+        w1, w2 = rng.normal(size=(3, 3)), rng.normal(size=(4, 3))
+        first = lambda: nm.sum_(nm.embedding(table, [2, 5, 2]) * Tensor(w1))
+        second = lambda: nm.sum_(nm.embedding(table, [5, 5, 0, 2]) * Tensor(w2))
+
+        first().backward()
+        after_first = table.grad
+        kept = after_first.copy()
+        second().backward()
+        assert np.array_equal(after_first, kept)  # the first .grad is not written through
+        build = lambda: first() + second()
+        check_grads_by_fd(build, {"table": table}, rng, samples=18,
+                          grads={"table": table.grad})
 
 
 class TestOpGradients:

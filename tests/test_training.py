@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import math
 import os
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from helpers import TOY, copy_task, params_digest, toy_model
+from oracles import summed_graph_step
 from sqgen import numerics as nm
 from sqgen import training
 from sqgen.corpus import DatasetSplit, PreparedExample
@@ -205,7 +208,7 @@ class TestTrain:
         assert os.path.exists(tmp_path / "epoch_002.ckpt")
         assert os.path.exists(tmp_path / "best.ckpt")
         lines = open(log_path).read().splitlines()
-        assert lines[0] == "epoch,train_loss,dev_perplexity,wall_seconds"
+        assert lines[0] == "epoch,train_loss,dev_perplexity,wall_seconds,grad_norm,tokens_per_s"
         assert len(lines) == 3
         assert len(result.log) == 2
 
@@ -245,10 +248,51 @@ class TestTrain:
             train(m, self._tiny_split(), TrainConfig(epochs=1, batch_size=2))
 
 
+class TestPerExampleBackward:
+    """train runs one example's graph at a time; its step must be the one a
+    single graph over the whole batch gives, to the bit."""
+
+    def test_epoch_matches_the_summed_graph_step(self):
+        examples = copy_task(4, vocab_size=TOY["vocab_size"], seed=3)
+        assert any(len(set(ex.context_ids)) < len(ex.context_ids) for ex in examples)
+        cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=1, seed=5)
+        order = list(range(len(examples)))
+        random.Random(training._epoch_seed(cfg.seed, 1)).shuffle(order)
+
+        oracle = toy_model(seed=2)
+        grads, batch_loss = summed_graph_step(oracle, [examples[i] for i in order])
+        adam_step(oracle.params, grads, AdamState(), cfg)
+        norm = math.sqrt(sum(float((grads[k] ** 2).sum()) for k in sorted(grads)))
+
+        m = toy_model(seed=2)
+        row = train(m, DatasetSplit(train=examples, dev=[]), cfg).log[0]
+        for name, p in m.params.items():
+            assert p.data.tobytes() == oracle.params[name].data.tobytes(), name
+        assert row.train_loss == batch_loss * len(examples) / len(examples)
+        assert row.grad_norm == pytest.approx(norm, rel=1e-12)
+        assert row.tokens_per_s > 0.0
+
+    def test_peak_memory_does_not_grow_with_the_batch(self):
+        examples = copy_task(8, vocab_size=400)
+
+        def peak(batch_size):
+            m = toy_model(seed=1, vocab_size=400)
+            cfg = TrainConfig(lr=1e-3, batch_size=batch_size, epochs=1)
+            tracemalloc.start()
+            try:
+                train(m, DatasetSplit(train=examples, dev=[]), cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, eight = peak(1), peak(8)
+        assert eight <= 1.25 * one, (one, eight)
+
+
 class TestLogCsv:
     def test_round_trippable_floats(self, tmp_path):
         path = str(tmp_path / "log.csv")
-        rows = [training.EpochLog(1, 1.2345678901234567, 3.4, 0.01)]
+        rows = [training.EpochLog(1, 1.2345678901234567, 3.4, 0.01, 0.5, 1000.0)]
         write_log_csv(rows, path)
         line = open(path).read().splitlines()[1].split(",")
         assert int(line[0]) == 1
