@@ -58,6 +58,13 @@ test -s run/best.ckpt
 test -s run/epoch_001.ckpt
 test -s run/epoch_002.ckpt
 head -1 run/train_log.csv | grep -q '^epoch,train_loss,dev_perplexity,wall_seconds,grad_norm,tokens_per_s$'
+# best.ckpt is the epoch with the lowest dev perplexity (ties: the earliest).
+best_epoch=$(python3 -c '
+import csv
+rows = list(csv.DictReader(open("run/train_log.csv", encoding="utf-8")))
+print(min(rows, key=lambda row: float(row["dev_perplexity"]))["epoch"])
+')
+cmp run/best.ckpt "run/epoch_$(printf %03d "$best_epoch").ckpt"
 
 echo "== generate (beam + nucleus)"
 sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \

@@ -28,7 +28,10 @@ softmax and the pointer mixture.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import os
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
@@ -459,32 +462,35 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
-    """Read a checkpoint back: its config and its arrays by name."""
+    """Read a checkpoint back: its config and its arrays by name. The blob is
+    read straight into one writable float64 buffer, and each array is a view
+    of its own slice of it."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    head, sep, blob = raw.partition(b"\n")
-    if not sep:
-        raise CheckpointError(f"{path}: missing manifest line")
-    try:
-        manifest = json.loads(head.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable manifest") from exc
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    try:
-        config = ModelConfig(**manifest["config"])
-    except TypeError as exc:
-        raise CheckpointError(f"{path}: config does not fit the expected model") from exc
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in manifest["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        n_bytes = int(np.prod(shape)) * 8 if shape else 8
-        chunk = blob[offset : offset + n_bytes]
-        if len(chunk) != n_bytes:
-            raise CheckpointError(f"{path}: truncated blob at {entry['name']}")
-        arrays[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        offset += n_bytes
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
-    return config, arrays
+        head = fh.readline()
+        if not head.endswith(b"\n"):
+            raise CheckpointError(f"{path}: missing manifest line")
+        try:
+            manifest = json.loads(head.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: unreadable manifest") from exc
+        if manifest.get("format") != CHECKPOINT_FORMAT:
+            raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+        try:
+            config = ModelConfig(**manifest["config"])
+        except TypeError as exc:
+            raise CheckpointError(f"{path}: config does not fit the expected model") from exc
+        entries = [(e["name"], tuple(int(s) for s in e["shape"])) for e in manifest["arrays"]]
+        blob_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        bounds = list(itertools.accumulate((math.prod(s) for _, s in entries), initial=0))
+        for (name, _), end in zip(entries, bounds[1:]):
+            if end * 8 > blob_bytes:
+                raise CheckpointError(f"{path}: truncated blob at {name}")
+        if bounds[-1] * 8 != blob_bytes:
+            raise CheckpointError(f"{path}: {blob_bytes - bounds[-1] * 8} trailing bytes")
+        blob = np.empty(bounds[-1], dtype="<f8")
+        if fh.readinto(blob) != blob.nbytes:
+            raise CheckpointError(f"{path}: truncated blob while reading")
+    return config, {
+        name: blob[lo:hi].reshape(shape)
+        for (name, shape), lo, hi in zip(entries, bounds, bounds[1:])
+    }

@@ -2,9 +2,15 @@
 
 Just enough substrate for an encoder-decoder transformer: elementwise
 arithmetic, matmul, softmax, layer norm, embedding lookup, gather/scatter,
-and multi-head attention composed from those pieces. Arrays are numpy
-float64 throughout and every reduction has a fixed order, so runs with the
-same seed are bit-reproducible.
+and multi-head attention. Arrays are numpy float64 throughout and every
+reduction has a fixed order, so runs with the same seed are
+bit-reproducible.
+
+Two ops are fused nodes with a hand-written backward, each computing
+exactly the bytes of the composition it replaces: `linear` is
+`add(matmul(x, w), b)`, and `attention_weights` is
+`softmax(qh @ khᵀ · (1/√dh) + mask)`. The fused attention node keeps only
+its softmax output for backward, not the score arrays before it.
 
 Gradients flow through a recorded graph: each op closes over its inputs and
 appends local gradients to them when `backward` walks the graph in reverse
@@ -14,6 +20,10 @@ passed its gradient on, its gradient, closure and parent links are dropped,
 so the arrays it held are freed while the walk goes on, and a later backward
 that reaches it raises. Leaves (parameters) keep their `.grad`, which sums
 over backward calls until the caller clears it.
+
+A backward never writes into the `g` it is handed: one op may hand the same
+array to two parents (`add` does), so every closure builds its results in
+arrays of its own.
 """
 
 from __future__ import annotations
@@ -304,7 +314,7 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def backward(g):
         if a.requires_grad:
@@ -389,22 +399,55 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(x, w), b)
+    """x @ w + b as one node: the bias is added in place into the fresh
+    matmul output, and backward gives x, w and b the arrays that
+    `add(matmul(x, w), b)` would."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.ndim < 2 or w.ndim < 2:
+        raise ConfigError("matmul expects tensors with ndim >= 2")
+    out_data = x.data @ w.data
+    out_data += b.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
+        if w.requires_grad:
+            w._accumulate(_unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.data.shape))
+
+    return Tensor._make(out_data, (x, w, b), backward)
+
+
+def _softmax_into(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Stabilized softmax of x along `axis`, written into `out` (which may
+    be x itself) or a fresh array; NaN anywhere in x is an error."""
+    if np.isnan(x).any():
+        raise NumericalError("softmax received NaN")
+    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def _softmax_backward(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    """The gradient at a softmax's input, out * (g - sum(g * out)), in a
+    fresh array: g itself is never written."""
+    gs = g * out
+    dot = gs.sum(axis=axis, keepdims=True)
+    np.subtract(g, dot, out=gs)
+    gs *= out
+    return gs
 
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Stabilized softmax along `axis`; NaN anywhere in the input is an error."""
     a = _as_tensor(a)
-    if np.isnan(a.data).any():
-        raise NumericalError("softmax received NaN")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax_into(a.data, axis)
 
     def backward(g):
         if a.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - dot))
+            a._accumulate(_softmax_backward(g, out_data, axis))
 
     return Tensor._make(out_data, (a,), backward)
 
@@ -468,6 +511,31 @@ def scatter_to_vocab(weights: Tensor, ids, width: int) -> Tensor:
 # -- attention ----------------------------------------------------------------
 
 
+def attention_weights(qh, kh, mask: np.ndarray | None = None) -> Tensor:
+    """softmax(qh @ khᵀ · (1/√dh) + mask) over the last axis as one node, for
+    head-split queries (H, Tq, dh) and keys (H, Tk, dh); `mask` is an
+    additive constant broadcastable to (Tq, Tk). The scores are scaled,
+    masked and normalized in place in the matmul output, and only the
+    softmax output is kept for backward."""
+    qh, kh = _as_tensor(qh), _as_tensor(kh)
+    scale = np.asarray(1.0 / np.sqrt(qh.data.shape[-1]))
+    out_data = qh.data @ kh.data.transpose(0, 2, 1)
+    out_data *= scale
+    if mask is not None:
+        out_data += mask
+    _softmax_into(out_data, -1, out=out_data)
+
+    def backward(g):
+        gs = _softmax_backward(g, out_data, -1)
+        gs *= scale
+        if qh.requires_grad:
+            qh._accumulate(gs @ kh.data)
+        if kh.requires_grad:
+            kh._accumulate((qh.data.swapaxes(-1, -2) @ gs).transpose(0, 2, 1))
+
+    return Tensor._make(out_data, (qh, kh), backward)
+
+
 def project_heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
     """Project x (T, d) with w, b and split the result into heads,
     (n_heads, T, d // n_heads)."""
@@ -493,11 +561,7 @@ def attend(
     trains through them).
     """
     h, tq, dh = qh.data.shape
-    scores = mul(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    if mask is not None:
-        scores = add(scores, np.asarray(mask, dtype=np.float64))
-    attn = softmax(scores, axis=-1)  # (H,Tq,Tk)
-
+    attn = attention_weights(qh, kh, mask)  # (H,Tq,Tk)
     ctx = matmul(attn, vh)  # (H,Tq,dh)
     merged = reshape(transpose(ctx, (1, 0, 2)), (tq, h * dh))
     return linear(merged, wo, bo), attn

@@ -6,7 +6,8 @@ are gradient-accumulated per example (equal example weight), which gives the
 same averaged step as padded batching without any mask bookkeeping. Each
 example's loss is scaled by 1/batch and run backward before the next example
 is built, so only one example's graph is alive at a time; the parameter
-gradients sum in example order, the order one summed-batch graph would use.
+gradients sum in example order, the order one summed-batch graph would use,
+and are released as soon as the Adam step has used them.
 """
 
 from __future__ import annotations
@@ -116,7 +117,10 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place. Each parameter's update is
+    lr * m_hat / (sqrt(v_hat) + eps), worked out in two scratch arrays with
+    the operations and operand order of that expression, so the bytes are
+    those of the plain NumPy arithmetic."""
     state.step += 1
     t = state.step
     for name in sorted(params):
@@ -126,18 +130,35 @@ def adam_step(
             state.v[name] = np.zeros_like(g)
         m = state.m[name]
         v = state.v[name]
+        a, b = np.empty_like(g), np.empty_like(g)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(1.0 - cfg.beta1, g, out=a)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        m_hat = m / (1.0 - cfg.beta1**t)
-        v_hat = v / (1.0 - cfg.beta2**t)
-        params[name].data -= cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - cfg.beta1**t, out=a)
+        np.multiply(cfg.lr, a, out=a)
+        np.divide(v, 1.0 - cfg.beta2**t, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.eps
+        params[name].data -= np.divide(a, b, out=a)
 
 
 def grad_norm(grads: dict[str, np.ndarray]) -> float:
     """Global L2 norm, squares summed in sorted parameter-name order."""
     return math.sqrt(sum(float((grads[name] * grads[name]).sum()) for name in sorted(grads)))
+
+
+def _apply_gradients(model: BertPgn, state: AdamState, cfg: TrainConfig) -> float:
+    """Adam step on the batch gradient the backward calls left in the
+    parameters' .grad, which it releases; returns the gradient's global norm."""
+    grads = {}
+    for name, p in model.params.items():
+        grads[name] = p.grad if p.grad is not None else np.zeros_like(p.data)
+        p.grad = None
+    norm = grad_norm(grads)
+    adam_step(model.params, grads, state, cfg)
+    return norm
 
 
 def perplexity(model: BertPgn, examples: list[PreparedExample]) -> float:
@@ -187,6 +208,8 @@ def train(
     state = AdamState()
     log: list[EpochLog] = []
     tokens = sum(len(ex.question_ids) + 1 for ex in split.train)  # + EOS
+    for p in model.params.values():
+        p.grad = None  # the first batch must not add to gradients left by a caller
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.monotonic()
@@ -197,8 +220,6 @@ def train(
         norms = []
         for start in range(0, len(order), cfg.batch_size):
             batch = [split.train[i] for i in order[start : start + cfg.batch_size]]
-            for p in model.params.values():
-                p.grad = None
             total = 0.0
             for ex in batch:
                 try:
@@ -209,12 +230,7 @@ def train(
                     raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
                 total += loss.item()
                 nm.mul(loss, 1.0 / len(batch)).backward()
-            grads = {
-                name: p.grad if p.grad is not None else np.zeros_like(p.data)
-                for name, p in model.params.items()
-            }
-            norms.append(grad_norm(grads))
-            adam_step(model.params, grads, state, cfg)
+            norms.append(_apply_gradients(model, state, cfg))
             batch_loss = total * (1.0 / len(batch))
             epoch_loss += batch_loss * len(batch)
         train_loss = epoch_loss / len(order)

@@ -250,6 +250,24 @@ def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
     return abs(a - b) / max(floor, abs(a), abs(b))
 
 
+# -- composed autodiff ops ----------------------------------------------------------
+
+
+def composed_attention_weights(qh, kh, mask=None):
+    """The attention weights as the chain of single ops the fused
+    `attention_weights` node replaces: transpose, matmul, scale, mask add,
+    softmax."""
+    scores = nm.mul(nm.matmul(qh, nm.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(qh.shape[-1]))
+    if mask is not None:
+        scores = nm.add(scores, np.asarray(mask, dtype=np.float64))
+    return nm.softmax(scores, axis=-1)
+
+
+def composed_linear(x, w, b):
+    """x @ w + b as the two ops the fused `linear` node replaces."""
+    return nm.add(nm.matmul(x, w), b)
+
+
 # -- training step ---------------------------------------------------------------
 
 

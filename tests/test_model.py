@@ -286,6 +286,19 @@ class TestCheckpoints:
         for name in m.params:
             assert np.array_equal(back.params[name].data, m.params[name].data)
 
+    def test_loaded_arrays_are_writable_and_independent(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        toy_model(seed=5).save(path)
+        _, arrays = load_checkpoint(path)
+        before = {name: a.copy() for name, a in arrays.items()}
+        target = "enc.b0.attn.bq"
+        arrays[target] += 1.0
+        assert np.array_equal(arrays[target], before[target] + 1.0)
+        for name, a in arrays.items():
+            assert a.flags.writeable, name
+            if name != target:
+                assert a.tobytes() == before[name].tobytes(), name
+
     def test_save_is_deterministic(self, tmp_path):
         m = toy_model(seed=5)
         a = str(tmp_path / "a.ckpt")

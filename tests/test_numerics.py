@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import fd_entry, rel_err
+from oracles import composed_attention_weights, composed_linear, fd_entry, rel_err
 from sqgen import numerics as nm
 from sqgen.numerics import (
     ConfigError,
@@ -189,6 +189,104 @@ class TestAttention:
             return nm.sum_(out * Tensor(w))
 
         check_grads_by_fd(build, params, rng, samples=4)
+
+
+ATTENTION_CASES = {
+    "no_mask": (4, 4, None),
+    "causal": (4, 4, nm.causal_mask(4)),
+    "past": (2, 5, nm.causal_mask(2, past=3)),
+    "tq_ne_tk": (3, 6, None),
+}
+
+
+class TestFusedNodes:
+    """attention_weights and linear against the compositions they replace:
+    the same bytes forward and in every input's gradient, and gradients that
+    agree with finite differences."""
+
+    H, DH = 2, 3
+
+    def _heads(self, rng, t, split):
+        """A leaf and a function building (H, t, dh) heads from it: split=True
+        makes the leaf rows (t, H, dh) and goes through a transpose, as
+        project_heads does."""
+        if split:
+            leaf = param(rng, t, self.H, self.DH)
+            return leaf, lambda: nm.transpose(leaf, (1, 0, 2))
+        leaf = param(rng, self.H, t, self.DH)
+        return leaf, lambda: leaf
+
+    def _grads(self, op, inputs, wts):
+        out = op()
+        nm.sum_(out * Tensor(wts)).backward()
+        grads = [x.grad for x in inputs]
+        for x in inputs:
+            x.grad = None
+        return out.data, grads
+
+    @pytest.mark.parametrize("split", [False, True], ids=["leaves", "head_split"])
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_attention_weights_bytes_equal_the_composition(self, case, split):
+        tq, tk, mask = ATTENTION_CASES[case]
+        rng = np.random.default_rng(7)
+        q, qh = self._heads(rng, tq, split)
+        k, kh = self._heads(rng, tk, split)
+        wts = rng.normal(size=(self.H, tq, tk))
+        fused = self._grads(lambda: nm.attention_weights(qh(), kh(), mask), [q, k], wts)
+        composed = self._grads(lambda: composed_attention_weights(qh(), kh(), mask), [q, k], wts)
+        assert fused[0].tobytes() == composed[0].tobytes()
+        for got, want in zip(fused[1], composed[1]):
+            assert got.tobytes() == want.tobytes()
+
+    def test_linear_bytes_equal_the_composition(self):
+        rng = np.random.default_rng(7)
+        x, w, b = param(rng, 5, 4), param(rng, 4, 3), param(rng, 3)
+        wts = rng.normal(size=(5, 3))
+        fused = self._grads(lambda: nm.linear(x, w, b), [x, w, b], wts)
+        composed = self._grads(lambda: composed_linear(x, w, b), [x, w, b], wts)
+        assert fused[0].tobytes() == composed[0].tobytes()
+        for got, want in zip(fused[1], composed[1]):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_attention_weights_gradient(self, case):
+        tq, tk, mask = ATTENTION_CASES[case]
+        rng = np.random.default_rng(42)
+        q, qh = self._heads(rng, tq, split=True)
+        k, kh = self._heads(rng, tk, split=False)
+        wts = rng.normal(size=(self.H, tq, tk))
+        build = lambda: nm.sum_(nm.attention_weights(qh(), kh(), mask) * Tensor(wts))
+        check_grads_by_fd(build, {"q": q, "k": k}, rng, samples=12)
+
+    def test_linear_gradient_with_broadcast_bias(self):
+        rng = np.random.default_rng(42)
+        x, w, b = param(rng, 5, 4), param(rng, 4, 3), param(rng, 3)
+        wts = rng.normal(size=(5, 3))
+        build = lambda: nm.sum_(nm.linear(x, w, b) * Tensor(wts))
+        check_grads_by_fd(build, {"x": x, "w": w, "b": b}, rng)
+
+    @pytest.mark.parametrize("node", ["attention_weights", "linear"])
+    def test_a_gradient_shared_with_another_parent_is_not_written(self, node):
+        rng = np.random.default_rng(42)
+        if node == "attention_weights":
+            inputs = [param(rng, self.H, 3, self.DH), param(rng, self.H, 4, self.DH)]
+            op = lambda: nm.attention_weights(*inputs, nm.causal_mask(3, past=1))
+        else:
+            inputs = [param(rng, 3, 4), param(rng, 4, 4), param(rng, 4)]
+            op = lambda: nm.linear(*inputs)
+        out = op()
+        other = param(rng, *out.shape)
+        wts = rng.normal(size=out.shape)
+        # add hands one array to both parents, and the leaf keeps it as .grad
+        nm.sum_((out + other) * Tensor(wts)).backward()
+        assert np.array_equal(other.grad, wts)
+        check_grads_by_fd(lambda: nm.sum_((op() + other) * Tensor(wts)),
+                          {**{f"x{i}": x for i, x in enumerate(inputs)}, "other": other}, rng)
+
+    def test_nan_score_rejected(self):
+        qh = Tensor(np.full((1, 2, 2), np.nan))
+        with pytest.raises(NumericalError, match="NaN"):
+            nm.attention_weights(qh, Tensor(np.ones((1, 3, 2))))
 
 
 class TestBackward:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -86,6 +87,18 @@ class TestPinnedGradients:
             total = total + extra
         grads = nm.grad_map(total, m.params)
         assert params_digest({k: nm.Tensor(g) for k, g in grads.items()}) == digest
+
+
+class TestPinnedCheckpoint:
+    """sha256 of the checkpoint a tiny model writes after two epochs of
+    Adam steps, as the commit before the in-place Adam step computed it."""
+
+    def test_trained_checkpoint_bytes_are_pinned(self, tmp_path):
+        split = DatasetSplit(train=copy_task(6, vocab_size=TOY["vocab_size"], seed=3), dev=[])
+        cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=2, seed=1)
+        train(toy_model(seed=4), split, cfg, checkpoint_dir=str(tmp_path))
+        digest = hashlib.sha256((tmp_path / "epoch_002.ckpt").read_bytes()).hexdigest()
+        assert digest == "3ea8a2f42af1a648cd740b6854091cf5112a6ab60a20e2f8a9f9ce3f0a759113"
 
 
 class TestTrainConfig:
@@ -236,6 +249,11 @@ class TestTrain:
         result = train(toy_model(seed=1), self._tiny_split(), TrainConfig(epochs=3, lr=1e-3))
         assert result.best_epoch == 1
         assert result.best_dev_perplexity == 7.0
+
+    def test_no_gradient_is_left_behind(self):
+        m = toy_model(seed=1)
+        train(m, self._tiny_split(), TrainConfig(epochs=2, batch_size=3, lr=1e-3))
+        assert [name for name, p in m.params.items() if p.grad is not None] == []
 
     def test_empty_train_split_rejected(self):
         with pytest.raises(InvalidDataset):
