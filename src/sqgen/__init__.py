@@ -8,44 +8,50 @@ teacher-forced training (`training`), beam/nucleus/greedy decoding
 (`decoding`), n-gram overlap metrics (`genmetrics`), and QA-based
 answerability/granularity scoring with human-annotation correlation
 (`qaeval`). The `sqgen` command line ties the stages together.
+
+Each public name is imported from its submodule on first access, so
+`import sqgen` loads no submodule and no NumPy until a name needs it.
 """
 
-from .corpus import (
-    DatasetSplit,
-    PreparedExample,
-    RawRecord,
-    prepare_example,
-    split_dataset,
-)
-from .decoding import beam_search, greedy, nucleus_sample
-from .model import BertPgn, ModelConfig
-from .qaeval import JointQaScorer, LexicalOverlapScorer, qa_score
-from .textproc import Vocab, decode, encode, load_vocab, save_vocab, train_vocab
-from .training import TrainConfig, train
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BertPgn",
-    "DatasetSplit",
-    "JointQaScorer",
-    "LexicalOverlapScorer",
-    "ModelConfig",
-    "PreparedExample",
-    "RawRecord",
-    "TrainConfig",
-    "Vocab",
-    "beam_search",
-    "decode",
-    "encode",
-    "greedy",
-    "load_vocab",
-    "nucleus_sample",
-    "prepare_example",
-    "qa_score",
-    "save_vocab",
-    "split_dataset",
-    "train",
-    "train_vocab",
-    "__version__",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    "DatasetSplit": "corpus",
+    "PreparedExample": "corpus",
+    "RawRecord": "corpus",
+    "prepare_example": "corpus",
+    "split_dataset": "corpus",
+    "beam_search": "decoding",
+    "greedy": "decoding",
+    "nucleus_sample": "decoding",
+    "BertPgn": "model",
+    "ModelConfig": "model",
+    "JointQaScorer": "qaeval",
+    "LexicalOverlapScorer": "qaeval",
+    "qa_score": "qaeval",
+    "Vocab": "textproc",
+    "decode": "textproc",
+    "encode": "textproc",
+    "load_vocab": "textproc",
+    "save_vocab": "textproc",
+    "train_vocab": "textproc",
+    "TrainConfig": "training",
+    "train": "training",
+}
+
+__all__ = sorted(_EXPORTS) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

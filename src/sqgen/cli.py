@@ -13,6 +13,11 @@ keeps unchanged; a flag wins over the file, and the file's keys that the
 subcommand does not take are ignored. A setting given neither way keeps the
 default of the config dataclass or function it feeds.
 
+Only the pure-Python modules every command shares are imported at module
+level; each command imports the rest in its own body. Importing NumPy and the
+model stack takes longer than the rest of a command's start-up, so the
+pure-Python commands `build-vocab`, `prepare` and `eval gen` never load them.
+
 Every command that succeeds drops a `<output>.manifest.json` recording the
 command line, inputs, outputs, seed, settings, wall time and code version.
 Exit codes: 0 success, 2 input error, 3 numerical failure.
@@ -31,11 +36,14 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from typing import TYPE_CHECKING
 
-from . import corpus, decoding, files, genmetrics, qaeval, textproc, training
-from . import numerics as nm
-from .model import BertPgn, ModelConfig
-from .qaeval import AnnotationRecord, LexicalOverlapScorer
+# Pure-Python modules only: a command that needs `numerics`, `model`,
+# `training`, `decoding` or `qaeval` (and so NumPy) imports it in its body.
+from . import corpus, files, genmetrics, textproc
+
+if TYPE_CHECKING:
+    from .model import ModelConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -216,6 +224,8 @@ def cmd_prepare(args: argparse.Namespace) -> Done:
 
 
 def _model_config_from_args(args: argparse.Namespace, vocab_size: int) -> ModelConfig:
+    from .model import ModelConfig
+
     return ModelConfig(
         vocab_size=vocab_size,
         **_given(args, "d_model", "n_heads", "encoder_layers", "decoder_lm_layers",
@@ -227,6 +237,9 @@ def _model_config_from_args(args: argparse.Namespace, vocab_size: int) -> ModelC
 
 
 def cmd_train(args: argparse.Namespace) -> Done:
+    from . import training
+    from .model import BertPgn
+
     cfg = training.TrainConfig(**_given(args, "lr", "batch_size", "epochs", "seed"))
     vocab = textproc.load_vocab(args.vocab)
     examples = corpus.read_prepared(args.data)
@@ -260,6 +273,10 @@ def cmd_train(args: argparse.Namespace) -> Done:
 
 
 def cmd_generate(args: argparse.Namespace) -> Done:
+    from . import decoding
+    from . import numerics as nm
+    from .model import BertPgn
+
     vocab = textproc.load_vocab(args.vocab)
     model = BertPgn.from_checkpoint(args.checkpoint)
     if model.config.vocab_size != len(vocab):
@@ -357,6 +374,8 @@ def _eval_gen(args: argparse.Namespace) -> Done:
 
 
 def _eval_qa(args: argparse.Namespace) -> Done:
+    from . import qaeval
+
     vocab = textproc.load_vocab(args.vocab)
     questions = corpus.read_jsonl(args.questions, _question_row)
     contexts: dict[str, list[int]] = {}
@@ -364,7 +383,7 @@ def _eval_qa(args: argparse.Namespace) -> Done:
         source = corpus.clean_article(article) if args.context_source == "article" else highlights
         contexts[cid] = textproc.encode(source, vocab)
 
-    scorer = LexicalOverlapScorer()
+    scorer = qaeval.LexicalOverlapScorer()
     tag = args.model_tag
     rows: list[tuple[str, float, float]] = []
     for rid, text in questions:
@@ -401,6 +420,8 @@ def _eval_qa(args: argparse.Namespace) -> Done:
 
 
 def _eval_correlate(args: argparse.Namespace) -> Done:
+    from . import qaeval
+
     scores: dict[str, tuple[float, float]] = {}
     reader = csv.DictReader(io.StringIO(files.read_text(args.scores), newline=""))
     for row in reader:
@@ -410,7 +431,7 @@ def _eval_correlate(args: argparse.Namespace) -> Done:
             raise corpus.row_error(args.scores, reader.line_num, exc) from exc
     annotations = list(corpus.read_jsonl(
         args.annotations,
-        lambda obj: AnnotationRecord(
+        lambda obj: qaeval.AnnotationRecord(
             article_id=str(obj["article_id"]),
             annotator_id=str(obj["annotator_id"]),
             flags={k: bool(v) for k, v in dict(obj["flags"]).items()},
@@ -621,7 +642,8 @@ NUMERIC_ERRORS = (ArithmeticError,)
 
 def main(argv: list[str] | None = None) -> int:
     """Check the `--config` file, run one command, and on success write its
-    manifest, timed from the command's start to its end."""
+    manifest, timed from the command's start, its own imports included, to
+    its end."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     command = f"eval {args.eval_kind}" if args.command == "eval" else args.command

@@ -123,9 +123,9 @@ def beam_search(
 
 
 def _top_candidates(scores: np.ndarray, k: int) -> np.ndarray:
-    """Flat indices (parent * V + token) of the k best of the flattened
-    (B, V) scores, ordered by (-score, parent, token): the pool is ascending,
-    so a stable sort breaks ties by flat index."""
+    """Indices of the k best of the 1-D scores, ordered by (-score, index):
+    the pool is ascending, so a stable sort breaks ties by index. Beam search
+    passes the flattened (B, V) scores, so an index is parent * V + token."""
     neg = -scores
     if k < neg.size:
         # Every candidate that can rank in the first k, ties at the cut included.
@@ -150,10 +150,15 @@ def sample_step(
     p = np.exp(logits)
     p /= p.sum()
 
-    order = np.argsort(-p, kind="stable")  # descending prob, ties to low id
+    # The likeliest sixteenth of V by (-p, id) is a prefix of the full order,
+    # and np.cumsum adds in order, so its running mass is the full order's.
+    # A nucleus wider than that pool sorts all V.
+    order = _top_candidates(p, max(1, p.size // 16))
     cum = np.cumsum(p[order])
-    keep = int(np.searchsorted(cum, top_p)) + 1
-    keep = min(keep, p.size)
+    if cum[-1] < top_p:
+        order = np.argsort(-p, kind="stable")
+        cum = np.cumsum(p[order])
+    keep = min(int(np.searchsorted(cum, top_p)) + 1, order.size)
     kept = order[:keep]
     kept_p = p[kept]
     kept_p /= kept_p.sum()

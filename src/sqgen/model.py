@@ -75,6 +75,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.vocab_size < 5:
             raise ConfigError("vocab_size must cover the four specials")
+        if self.d_model < 1 or self.n_heads < 1:
+            raise ConfigError("d_model and n_heads must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
@@ -461,6 +463,39 @@ def save_checkpoint(
             fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
 
 
+def _parse_manifest(
+    path: str, head: bytes
+) -> tuple[ModelConfig, list[tuple[str, tuple[int, ...]]]]:
+    """The config and the (name, shape) array entries of a checkpoint's
+    manifest line; anything else in it raises CheckpointError naming `path`."""
+    try:
+        manifest = json.loads(head.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointError(f"{path}: unreadable manifest") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    missing = [key for key in ("config", "arrays") if key not in manifest]
+    if missing:
+        raise CheckpointError(f"{path}: manifest lacks {' and '.join(missing)}")
+    try:
+        config = ModelConfig(**manifest["config"])
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: config does not fit the expected model: {exc}") from exc
+    arrays = manifest["arrays"]
+    if not isinstance(arrays, list):
+        raise CheckpointError(f"{path}: manifest arrays is not a list")
+    entries = []
+    for i, e in enumerate(arrays):
+        name, shape = (e.get("name"), e.get("shape")) if isinstance(e, dict) else (None, None)
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise CheckpointError(f"{path}: malformed array entry {i}: {json.dumps(e)}")
+        entries.append((name, tuple(shape)))
+    return config, entries
+
+
 def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
     """Read a checkpoint back: its config and its arrays by name. The blob is
     read straight into one writable float64 buffer, and each array is a view
@@ -469,17 +504,7 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         head = fh.readline()
         if not head.endswith(b"\n"):
             raise CheckpointError(f"{path}: missing manifest line")
-        try:
-            manifest = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointError(f"{path}: unreadable manifest") from exc
-        if manifest.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-        try:
-            config = ModelConfig(**manifest["config"])
-        except TypeError as exc:
-            raise CheckpointError(f"{path}: config does not fit the expected model") from exc
-        entries = [(e["name"], tuple(int(s) for s in e["shape"])) for e in manifest["arrays"]]
+        config, entries = _parse_manifest(path, head)
         blob_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
         bounds = list(itertools.accumulate((math.prod(s) for _, s in entries), initial=0))
         for (name, _), end in zip(entries, bounds[1:]):

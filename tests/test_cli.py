@@ -263,6 +263,16 @@ class TestTrain:
             "epoch,train_loss,dev_perplexity,wall_seconds,grad_norm,tokens_per_s"
         ]
 
+    def test_zero_heads_exits_2(self, workspace, tmp_path, capsys):
+        rc = cli.main(
+            ["train", "--data", workspace["prepared"], "--vocab", workspace["vocab"],
+             "--out-dir", str(tmp_path / "run"), "--epochs", "0",
+             *TINY_MODEL_FLAGS, "--n-heads", "0"]
+        )
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: d_model and n_heads must be >= 1\n"
+        assert not (tmp_path / "run").exists()
+
     def test_empty_dataset_exits_2(self, workspace, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("", encoding="utf-8")
@@ -393,6 +403,35 @@ class TestGenerate:
              "--output", str(tmp_path / "gen.jsonl")]
         )
         assert rc == cli.EXIT_NUMERIC
+
+
+@pytest.mark.parametrize("manifest", [
+    "[1, 2]",
+    '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120}}',
+    '{"format": "sqgen-checkpoint", "version": 1, "arrays": []}',
+    '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120, "n_heads": 0},'
+    ' "arrays": []}',
+    '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120, "n_heads": -4},'
+    ' "arrays": []}',
+    '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120},'
+    ' "arrays": [{"name": "enc.word_emb", "shape": [2, "x"]}]}',
+    '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120},'
+    ' "arrays": [7]}',
+])
+def test_malformed_checkpoint_manifest_exits_2_naming_the_file(
+    manifest, workspace, tmp_path, capsys
+):
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_text(manifest + "\n", encoding="utf-8")
+    rc = cli.main(
+        ["generate", "--checkpoint", str(ckpt), "--data", workspace["prepared"],
+         "--vocab", workspace["vocab"], "--output", str(tmp_path / "gen.jsonl")]
+    )
+    assert rc == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ckpt}: ")
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
 
 
 class TestEvalGen:

@@ -291,6 +291,43 @@ class TestSampleStepTieOrder:
             assert got == want
 
 
+class TestSampleStepBeyondThePool:
+    """Vocabularies of at least 32 tokens, where the sorted pool is a strict
+    part of V, so the nucleus is found in the pool or by sorting every token."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(32, 3000),
+        values=st.lists(st.sampled_from([0, 1, 2, 5, 40]), min_size=1, max_size=5).filter(any),
+        top_p=st.floats(0.0, 1.0, exclude_min=True),
+        temperature=st.sampled_from([0.1, 1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_sorted_reference(self, size, values, top_p, temperature, seed):
+        # few distinct values over many tokens, so ties straddle every cut
+        weights = np.random.default_rng(seed).choice(values, size=size).astype(np.float64)
+        if not weights.any():
+            weights[-1] = 1.0
+        dist = weights / weights.sum()
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = sample_step(dist, top_p, temperature, got_rng)
+            want = oracles.sorted_sample_step(dist, top_p, temperature, want_rng)
+            assert got == want
+
+    @pytest.mark.parametrize("top_p", [0.05, 0.5, 0.9, 1.0])
+    def test_flat_and_peaked_distributions_match_sorted_reference(self, top_p):
+        rng = np.random.default_rng(0)
+        flat = rng.uniform(0.9, 1.1, size=4000)
+        peaked = 1.0 / np.arange(1, 4001) ** 1.1
+        for weights in (flat, peaked[rng.permutation(4000)]):
+            dist = weights / weights.sum()
+            got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
+            for _ in range(5):
+                got = sample_step(dist, top_p, 1.0, got_rng)
+                assert got == oracles.sorted_sample_step(dist, top_p, 1.0, want_rng)
+
+
 class TestPinnedOutputs:
     """Ids and logprob bits of every decoder on one seeded toy model, as the
     commit before one-sort-key decoding produced them."""

@@ -30,6 +30,11 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**{**TOY, "d_model": 10, "n_heads": 4})
 
+    @pytest.mark.parametrize("d_model, n_heads", [(16, 0), (16, -4), (0, 4), (-16, 4)])
+    def test_sizes_must_be_positive(self, d_model, n_heads):
+        with pytest.raises(ConfigError):
+            ModelConfig(**{**TOY, "d_model": d_model, "n_heads": n_heads})
+
     def test_cross_layers_must_exist(self):
         with pytest.raises(ConfigError):
             ModelConfig(**{**TOY, "cross_layers": 0})
