@@ -124,7 +124,13 @@ cat > questions.jsonl <<'EOF'
 EOF
 sqgen eval qa --questions questions.jsonl --contexts news.jsonl \
     --vocab vocab.txt --output-prefix qa --context-source article --model-tag toy
-test -s qa_scatter.csv
+# Each question repeats its article, so both read as answerable.
+python3 - <<'EOF'
+import csv
+rows = list(csv.DictReader(open("qa_scatter.csv", encoding="utf-8", newline="")))
+assert [row["id"] for row in rows] == ["n1", "n2"], rows
+assert all(float(row["s_ans"]) > 0.0 for row in rows), rows
+EOF
 test -s qa_means.csv
 test -s qa_scatter.svg
 

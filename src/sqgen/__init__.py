@@ -29,7 +29,6 @@ _EXPORTS = {
     "nucleus_sample": "decoding",
     "BertPgn": "model",
     "ModelConfig": "model",
-    "JointQaScorer": "qaeval",
     "LexicalOverlapScorer": "qaeval",
     "qa_score": "qaeval",
     "Vocab": "textproc",

@@ -16,7 +16,8 @@ default of the config dataclass or function it feeds.
 Only the pure-Python modules every command shares are imported at module
 level; each command imports the rest in its own body. Importing NumPy and the
 model stack takes longer than the rest of a command's start-up, so the
-pure-Python commands `build-vocab`, `prepare` and `eval gen` never load them.
+pure-Python commands `build-vocab`, `prepare`, `eval gen` and `eval qa` never
+load them.
 
 Every command that succeeds drops a `<output>.manifest.json` recording the
 command line, inputs, outputs, seed, settings, wall time and code version.
@@ -39,7 +40,7 @@ from datetime import datetime, timezone
 from typing import TYPE_CHECKING
 
 # Pure-Python modules only: a command that needs `numerics`, `model`,
-# `training`, `decoding` or `qaeval` (and so NumPy) imports it in its body.
+# `training` or `decoding` (and so NumPy), or `qaeval`, imports it in its body.
 from . import corpus, files, genmetrics, textproc
 
 if TYPE_CHECKING:

@@ -22,6 +22,13 @@ import os
 from typing import IO, Iterable, Iterator
 
 
+class ConfigError(ValueError):
+    """Shape/head configuration is inconsistent.
+
+    Defined in this pure-Python module, and re-exported by `numerics`, so
+    that `qaeval` can raise it without importing NumPy."""
+
+
 @contextlib.contextmanager
 def replacing(path: str, binary: bool = False) -> Iterator[IO]:
     """A new file open for writing that replaces `path` when the block

@@ -125,22 +125,30 @@ class ParamBuilder:
     transformer block that `_block` runs: attn, ln1, ffn, ln2.
 
     Creation order is fixed, so a given seed always yields the same bytes.
+    Every name's shape is recorded in `shapes`; with `seed=None` only the
+    shapes are, and no array is made and no random number drawn.
     """
 
-    def __init__(self, seed: int, d_model: int, ffn_dim: int):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, seed: int | None, d_model: int, ffn_dim: int):
+        self.rng = None if seed is None else np.random.default_rng(seed)
         self.d, self.f = d_model, ffn_dim
         self.params: dict[str, Tensor] = {}
+        self.shapes: dict[str, tuple[int, ...]] = {}
+
+    def _add(self, name: str, shape: tuple[int, ...], make) -> None:
+        self.shapes[name] = shape
+        if self.rng is not None:
+            self.params[name] = Tensor(make(shape), requires_grad=True)
 
     def w(self, name: str, shape: tuple[int, ...]) -> None:
-        self.params[name] = Tensor(self.rng.normal(0.0, 0.02, shape), requires_grad=True)
+        self._add(name, shape, lambda s: self.rng.normal(0.0, 0.02, s))
 
     def b(self, name: str, shape: tuple[int, ...]) -> None:
-        self.params[name] = Tensor(np.zeros(shape), requires_grad=True)
+        self._add(name, shape, np.zeros)
 
     def ln(self, prefix: str) -> None:
-        self.params[f"{prefix}.g"] = Tensor(np.ones(self.d), requires_grad=True)
-        self.params[f"{prefix}.b"] = Tensor(np.zeros(self.d), requires_grad=True)
+        self._add(f"{prefix}.g", (self.d,), np.ones)
+        self._add(f"{prefix}.b", (self.d,), np.zeros)
 
     def attn(self, prefix: str) -> None:
         for part in ("wq", "wk", "wv", "wo"):
@@ -163,6 +171,15 @@ class ParamBuilder:
 
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     """Fresh parameters for `config`, seeded (see `ParamBuilder`)."""
+    return _build_params(config, seed).params
+
+
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every parameter `config` has, in creation order."""
+    return _build_params(config, None).shapes
+
+
+def _build_params(config: ModelConfig, seed: int | None) -> ParamBuilder:
     p = ParamBuilder(seed, config.d_model, config.ffn_dim)
     d = config.d_model
     p.w("enc.word_emb", (config.vocab_size, d))
@@ -191,7 +208,7 @@ def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
     if config.use_pointer:
         p.w("gate.w", (2 * d, 1))
         p.b("gate.b", (1,))
-    return p.params
+    return p
 
 
 def _self_attention(params, prefix: str, x: Tensor, n_heads: int, mask=None, past=None):
@@ -413,6 +430,7 @@ class BertPgn:
     @classmethod
     def from_checkpoint(cls, path: str) -> "BertPgn":
         config, arrays = load_checkpoint(path)
+        _check_arrays(path, config, arrays)
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         return cls(config, params=params)
 
@@ -519,3 +537,21 @@ def load_checkpoint(path: str) -> tuple[ModelConfig, dict[str, np.ndarray]]:
         name: blob[lo:hi].reshape(shape)
         for (name, shape), lo, hi in zip(entries, bounds, bounds[1:])
     }
+
+
+def _check_arrays(path: str, config: ModelConfig, arrays: Mapping[str, np.ndarray]) -> None:
+    """Raise CheckpointError naming `path` and the first array that is
+    missing, misshapen or extra against `config`'s parameters: missing and
+    misshapen ones in creation order, then extra ones by name."""
+    expected = param_shapes(config)
+    for name, shape in expected.items():
+        if name not in arrays:
+            raise CheckpointError(f"{path}: no array {name}, which the config needs")
+        if arrays[name].shape != shape:
+            raise CheckpointError(
+                f"{path}: array {name} has shape {arrays[name].shape}, "
+                f"the config needs {shape}"
+            )
+    extra = sorted(set(arrays) - set(expected))
+    if extra:
+        raise CheckpointError(f"{path}: array {extra[0]} is not a parameter of the config")

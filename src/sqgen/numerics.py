@@ -33,6 +33,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .files import ConfigError  # defined there so qaeval need not import NumPy
+
 
 class NumericalError(ArithmeticError):
     """An op produced or received NaN/Inf where finite values are required."""
@@ -40,10 +42,6 @@ class NumericalError(ArithmeticError):
 
 class InvalidLoss(ValueError):
     """backward() needs a scalar root."""
-
-
-class ConfigError(ValueError):
-    """Shape/head configuration is inconsistent."""
 
 
 _GRAD_ENABLED = True

@@ -11,20 +11,23 @@ positive answerability meaning the QA model can locate an answer, positive
 granularity meaning the answer reads as a passage rather than a short span.
 The module also carries the human-evaluation side: unanimity tallies over
 3-annotator judgments and flag-vs-score Pearson correlations.
+
+Scoring works on Python floats and takes lists or 1-D arrays alike, so
+`eval qa` runs without NumPy; only `pearson` and `z_normalize`, which
+`eval correlate` uses, import it.
 """
+
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING, Protocol, Sequence
 
-import numpy as np
+from .files import ConfigError
 
-from . import numerics as nm
-from .model import ParamBuilder, _block
-from .numerics import ConfigError, Tensor
-from .textproc import BOS_ID, EOS_ID
+if TYPE_CHECKING:
+    import numpy as np
 
 EPSILON = 1e-12
 
@@ -57,14 +60,21 @@ class ScorerError(RuntimeError):
     """The QA scorer failed or returned malformed distributions."""
 
 
+class Distribution(list):
+    """A list of probabilities with an array's `sum`."""
+
+    def sum(self) -> float:
+        return math.fsum(self)
+
+
 @dataclass
 class QaOutput:
     """p_start/p_end over positions 0..n (0 = no-answer sentinel),
-    type_probs over QA_TYPES."""
+    type_probs over QA_TYPES; each a list of floats or a 1-D array."""
 
-    p_start: np.ndarray
-    p_end: np.ndarray
-    type_probs: np.ndarray
+    p_start: Sequence[float]
+    p_end: Sequence[float]
+    type_probs: Sequence[float]
 
 
 @dataclass
@@ -87,26 +97,45 @@ class QaScorer(Protocol):
     def score(self, question_ids: list[int], context_ids: list[int]) -> QaOutput: ...
 
 
-def best_span(p_start: np.ndarray, p_end: np.ndarray) -> SpanResult:
+def best_span(p_start: Sequence[float], p_end: Sequence[float]) -> SpanResult:
     """Maximize p_start(i)*p_end(j) over 1 <= i < j <= n; ties take the
-    lexicographically smallest (i, j)."""
-    p_start = np.asarray(p_start, dtype=np.float64)
-    p_end = np.asarray(p_end, dtype=np.float64)
-    n = p_start.size - 1
-    if p_end.size != p_start.size:
+    lexicographically smallest (i, j).
+
+    O(n): with p_start(i) >= 0 the best j for a start i is the largest
+    p_end(j) after it, with p_start(i) < 0 (entries down to -1e-12 pass
+    `_check_distribution`) the smallest, and rounding a product is monotone
+    in each factor, so one backward sweep of suffix extremes gives each row's
+    exact maximum. The span is then the smallest i whose row reaches the top
+    product and the smallest j > i that gives it, which is the first maximum
+    of the full row-major scan.
+    """
+    if len(p_end) != len(p_start):
         raise ConfigError("p_start and p_end sizes differ")
+    n = len(p_start) - 1
     if n < 2:
         raise ContextTooShort(f"need >= 2 context positions, got {n}")
-    prod = p_start[1:, None] * p_end[None, 1:]  # (n, n); [i-1, j-1]
-    invalid = np.tril(np.ones((n, n), dtype=bool))  # keeps only i < j
-    prod[invalid] = -1.0
-    flat = int(np.argmax(prod))  # first max in row-major = smallest (i, j)
-    i, j = divmod(flat, n)
-    return SpanResult(start=i + 1, end=j + 1, prob=float(prod[i, j]))
+    s = list(map(float, p_start))
+    e = list(map(float, p_end))
+    top, i = -math.inf, 0
+    hi = lo = e[n]  # max and min of e[k+1..n]
+    for k in range(n - 1, 0, -1):
+        sk = s[k]
+        row = sk * hi if sk >= 0.0 else sk * lo
+        if row >= top:  # `>=` while k falls keeps the smallest k on a tie
+            top, i = row, k
+        ek = e[k]
+        if ek > hi:
+            hi = ek
+        elif ek < lo:
+            lo = ek
+    if i == 0:
+        raise ConfigError("no span product is a number")
+    j = next(j for j in range(i + 1, n + 1) if s[i] * e[j] == top)
+    return SpanResult(start=i, end=j, prob=s[i] * e[j])
 
 
 def no_answer_prob(output: QaOutput) -> float:
-    return float(output.p_start[0] * output.p_end[0])
+    return float(output.p_start[0]) * float(output.p_end[0])
 
 
 def answerability(p_answer: float, p_no_answer: float) -> float:
@@ -117,11 +146,16 @@ def granularity(p_long: float, p_short: float) -> float:
     return math.log(max(p_long, EPSILON)) - math.log(max(p_short, EPSILON))
 
 
-def _check_distribution(name: str, v: np.ndarray) -> None:
-    if not np.isfinite(v).all() or np.any(v < -1e-12):
+def _check_distribution(name: str, v: Sequence[float]) -> list[float]:
+    """The entries of `v` as floats, once they are finite, none below
+    -1e-12, and sum to 1 within 1e-6."""
+    vals = list(map(float, v))
+    if not all(map(math.isfinite, vals)) or min(vals, default=0.0) < -1e-12:
         raise ScorerError(f"{name} has negative or non-finite entries")
-    if abs(float(v.sum()) - 1.0) > 1e-6:
-        raise ScorerError(f"{name} sums to {float(v.sum())}, not 1")
+    total = math.fsum(vals)
+    if abs(total - 1.0) > 1e-6:
+        raise ScorerError(f"{name} sums to {total}, not 1")
+    return vals
 
 
 def qa_score(scorer: QaScorer, question_ids: list[int], context_ids: list[int]) -> QaScores:
@@ -132,17 +166,17 @@ def qa_score(scorer: QaScorer, question_ids: list[int], context_ids: list[int]) 
         raise
     except Exception as exc:  # scorer bugs surface as ScorerError
         raise ScorerError(f"scorer failed: {exc}") from exc
-    _check_distribution("p_start", out.p_start)
-    _check_distribution("p_end", out.p_end)
-    _check_distribution("type_probs", out.type_probs)
-    span = best_span(out.p_start, out.p_end)
+    p_start = _check_distribution("p_start", out.p_start)
+    p_end = _check_distribution("p_end", out.p_end)
+    type_probs = _check_distribution("type_probs", out.type_probs)
+    span = best_span(p_start, p_end)
     p_no = no_answer_prob(out)
     return QaScores(
         span=span,
         p_answer=span.prob,
         p_no_answer=p_no,
         answerability=answerability(span.prob, p_no),
-        granularity=granularity(float(out.type_probs[1]), float(out.type_probs[2])),
+        granularity=granularity(type_probs[1], type_probs[2]),
     )
 
 
@@ -150,6 +184,8 @@ def qa_score(scorer: QaScorer, question_ids: list[int], context_ids: list[int]) 
 
 
 def pearson(x, y) -> float:
+    import numpy as np
+
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.size != y.size or x.size < 2:
@@ -164,6 +200,8 @@ def pearson(x, y) -> float:
 
 
 def z_normalize(values) -> np.ndarray:
+    import numpy as np
+
     v = np.asarray(values, dtype=np.float64)
     std = v.std()
     if std == 0.0:
@@ -288,8 +326,8 @@ class LexicalOverlapScorer:
         union = q_set | c_set
         jaccard = len(q_set & c_set) / len(union) if union else 0.0
 
-        p_start = np.zeros(n + 1)
-        p_end = np.zeros(n + 1)
+        p_start = Distribution([0.0] * (n + 1))
+        p_end = Distribution([0.0] * (n + 1))
         p_start[0] = p_end[0] = 1.0 - jaccard
         run_len = 0
         if jaccard > 0.0:
@@ -299,123 +337,32 @@ class LexicalOverlapScorer:
             p_start[start_pos] += jaccard
             p_end[end_pos] += jaccard
         r = run_len / n
-        type_probs = np.array([1.0 - jaccard, r * jaccard, (1.0 - r) * jaccard, 0.0])
+        type_probs = Distribution([1.0 - jaccard, r * jaccard, (1.0 - r) * jaccard, 0.0])
         return QaOutput(p_start=p_start, p_end=p_end, type_probs=type_probs)
 
 
 def _longest_common_run(question: list[int], context: list[int]) -> tuple[int, int]:
     """(context_start, length) of the longest common contiguous token run;
-    ties take the earliest context start."""
+    ties take the earliest context start.
+
+    The run-length DP over (question, context) cells visits only the cells
+    whose tokens match: `at` lists each question token's context positions,
+    and `ending` maps a context position to the length of the common run
+    ending there at the previous question token. The maximum and the earliest
+    start among runs of that length do not depend on the order cells are
+    visited.
+    """
+    at: dict[int, list[int]] = {tok: [] for tok in question}
+    for j, tok in enumerate(context):
+        if tok in at:
+            at[tok].append(j)
     best_len, best_start = 0, 0
-    prev = [0] * (len(context) + 1)
+    ending: dict[int, int] = {}
     for q_tok in question:
-        cur = [0] * (len(context) + 1)
-        for j, c_tok in enumerate(context, start=1):
-            if q_tok == c_tok:
-                cur[j] = prev[j - 1] + 1
-                start = j - cur[j]
-                if cur[j] > best_len or (cur[j] == best_len and start < best_start):
-                    best_len, best_start = cur[j], start
-        prev = cur
+        prev, ending = ending, {}
+        for j in at[q_tok]:
+            length = ending[j] = prev.get(j - 1, 0) + 1
+            start = j + 1 - length
+            if length > best_len or (length == best_len and start < best_start):
+                best_len, best_start = length, start
     return best_start, best_len
-
-
-@dataclass
-class QaConfig:
-    vocab_size: int
-    d_model: int = 64
-    n_heads: int = 4
-    layers: int = 2
-    ffn_dim: int = 128
-    max_seq: int = 128
-
-    def __post_init__(self) -> None:
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
-            )
-
-
-@dataclass
-class QaExample:
-    """Gold span uses the sentinel convention: start=end=0 means no answer;
-    otherwise 1-based context positions with start < end."""
-
-    question_ids: list[int]
-    context_ids: list[int]
-    start: int
-    end: int
-    qa_type: int  # index into QA_TYPES
-
-
-class JointQaScorer:
-    """Small trainable joint model: one encoder stack over
-    [BOS] question [EOS] context, with start/end heads over the sentinel
-    (position 0) plus the context positions and a type head on position 0."""
-
-    def __init__(self, config: QaConfig, params: dict[str, Tensor] | None = None, seed: int = 0):
-        self.config = config
-        self.params = params if params is not None else self._init_params(seed)
-
-    def _init_params(self, seed: int) -> dict[str, Tensor]:
-        c = self.config
-        p = ParamBuilder(seed, c.d_model, c.ffn_dim)
-        p.w("word_emb", (c.vocab_size, c.d_model))
-        p.w("pos_emb", (c.max_seq, c.d_model))
-        p.w("seg_emb", (2, c.d_model))
-        for i in range(c.layers):
-            p.block(f"b{i}")
-        for head, width in (("start", 1), ("end", 1), ("type", len(QA_TYPES))):
-            p.w(f"{head}.w", (c.d_model, width))
-            p.b(f"{head}.b", (width,))
-        return p.params
-
-    def _forward(self, question_ids: list[int], context_ids: list[int]):
-        """Returns (p_start, p_end, type_probs) tensors over sentinel+context."""
-        c = self.config
-        seq = [BOS_ID] + list(question_ids) + [EOS_ID] + list(context_ids)
-        if len(seq) > c.max_seq:
-            raise ScorerError(f"sequence of {len(seq)} exceeds max_seq={c.max_seq}")
-        n_lead = len(question_ids) + 2
-        seg = np.array([0] * n_lead + [1] * len(context_ids), dtype=np.intp)
-        ids = np.asarray(seq, dtype=np.intp)
-
-        x = (
-            nm.embedding(self.params["word_emb"], ids)
-            + nm.embedding(self.params["pos_emb"], np.arange(ids.size))
-            + nm.embedding(self.params["seg_emb"], seg)
-        )
-        for i in range(c.layers):
-            x, _ = _block(self.params, f"b{i}", x, c.n_heads)
-
-        keep = np.concatenate([[0], np.arange(n_lead, ids.size)])  # sentinel + context
-        h = x[keep]
-        start_logits = nm.reshape(nm.linear(h, self.params["start.w"], self.params["start.b"]), (-1,))
-        end_logits = nm.reshape(nm.linear(h, self.params["end.w"], self.params["end.b"]), (-1,))
-        h0 = nm.reshape(x[0], (1, c.d_model))
-        type_logits = nm.reshape(nm.linear(h0, self.params["type.w"], self.params["type.b"]), (-1,))
-        return (
-            nm.softmax(start_logits, axis=-1),
-            nm.softmax(end_logits, axis=-1),
-            nm.softmax(type_logits, axis=-1),
-        )
-
-    def score(self, question_ids: list[int], context_ids: list[int]) -> QaOutput:
-        if not context_ids:
-            raise ScorerError("empty context")
-        with nm.no_grad():
-            p_start, p_end, p_type = self._forward(question_ids, context_ids)
-        return QaOutput(
-            p_start=p_start.data.copy(),
-            p_end=p_end.data.copy(),
-            type_probs=p_type.data.copy(),
-        )
-
-    def loss(self, example: QaExample) -> Tensor:
-        p_start, p_end, p_type = self._forward(example.question_ids, example.context_ids)
-        total = (
-            nm.log(p_start[example.start])
-            + nm.log(p_end[example.end])
-            + nm.log(p_type[example.qa_type])
-        )
-        return nm.neg(nm.reshape(total, ()))

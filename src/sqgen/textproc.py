@@ -5,7 +5,10 @@ generated token it copies to always carry the same id. Word boundaries are
 marked with a prefix marker on the first subword of each word, which makes
 decoding a pure string operation (join, swap markers for spaces, strip).
 Text is lowercased both when the vocabulary is trained and when it encodes,
-so a vocabulary file needs no case setting.
+so a vocabulary file needs no case setting. Both also read the marker
+character itself as a space: a marker inside a word would decode as a word
+boundary, so it is one from the start, and no token ever holds a marker
+after its first character.
 """
 
 from __future__ import annotations
@@ -66,10 +69,14 @@ class Vocab:
         return len(self.tokens)
 
 
+def _normalize(text: str) -> str:
+    return text.lower().replace(WORD_MARK, " ")
+
+
 def _words(corpus: list[str]) -> Counter[str]:
     counts: Counter[str] = Counter()
     for line in corpus:
-        counts.update(line.lower().split())
+        counts.update(_normalize(line).split())
     return counts
 
 
@@ -203,9 +210,10 @@ def _apply_merges(symbols: list[str], rank: dict[tuple[str, str], int]) -> list[
 
 
 def encode(text: str, vocab: Vocab) -> list[int]:
-    """Lowercase text and tokenize it to ids; characters the vocabulary never saw become UNK."""
+    """Lowercase text, read the word mark as a space, and tokenize it to ids;
+    characters the vocabulary never saw become UNK."""
     ids: list[int] = []
-    for word in text.lower().split():
+    for word in _normalize(text).split():
         cached = vocab._word_cache.get(word)
         if cached is None:
             symbols = _apply_merges(list(_word_symbols(word)), vocab._merge_rank)

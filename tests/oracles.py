@@ -106,6 +106,23 @@ def best_span(p_start: np.ndarray, p_end: np.ndarray) -> tuple[int, int, float]:
     return top
 
 
+def longest_common_run(question: list[int], context: list[int]) -> tuple[int, int]:
+    """(context_start, length) of the longest common contiguous token run,
+    ties to the earliest start, from the full O(|q|·n) run-length table."""
+    best_len, best_start = 0, 0
+    prev = [0] * (len(context) + 1)
+    for q_tok in question:
+        cur = [0] * (len(context) + 1)
+        for j, c_tok in enumerate(context, start=1):
+            if q_tok == c_tok:
+                cur[j] = prev[j - 1] + 1
+                start = j - cur[j]
+                if cur[j] > best_len or (cur[j] == best_len and start < best_start):
+                    best_len, best_start = cur[j], start
+        prev = cur
+    return best_start, best_len
+
+
 # -- BPE training by a full scan ------------------------------------------------
 
 

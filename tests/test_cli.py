@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -403,6 +404,30 @@ class TestGenerate:
              "--output", str(tmp_path / "gen.jsonl")]
         )
         assert rc == cli.EXIT_NUMERIC
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda params: params.update({"out.bias": params.pop("out.b")}),
+         "no array out.b, which the config needs"),
+        (lambda params: params.update({"gate.b": np.zeros(2)}),
+         r"array gate.b has shape \(2,\), the config needs \(1,\)"),
+        (lambda params: params.update({"x": np.zeros(3)}),
+         "array x is not a parameter of the config"),
+    ])
+    def test_checkpoint_arrays_off_the_config_exit_2(self, workspace, tmp_path, capsys,
+                                                      edit, message):
+        model = BertPgn.from_checkpoint(workspace["checkpoint"])
+        params = {name: t.data for name, t in model.params.items()}
+        edit(params)
+        bad = str(tmp_path / "bad.ckpt")
+        save_checkpoint(bad, model.config, params)
+        capsys.readouterr()
+        rc = cli.main(
+            ["generate", "--checkpoint", bad, "--data", workspace["prepared"],
+             "--vocab", workspace["vocab"], "--output", str(tmp_path / "gen.jsonl")]
+        )
+        assert rc == cli.EXIT_INPUT
+        assert re.search(f"^error: {re.escape(bad)}: {message}$", capsys.readouterr().err, re.M)
+        assert not (tmp_path / "gen.jsonl").exists()
 
 
 @pytest.mark.parametrize("manifest", [

@@ -21,6 +21,7 @@ from sqgen.model import (
     init_params,
     load_checkpoint,
     output_distribution,
+    param_shapes,
     save_checkpoint,
 )
 
@@ -390,6 +391,17 @@ class TestCheckpoints:
         open(path, "wb").write(json.dumps(manifest).encode() + b"\n" + blob)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_param_shapes_match_init_params(self):
+        params = init_params(ModelConfig(**TOY), seed=9)
+        shapes = param_shapes(ModelConfig(**TOY))
+        assert list(shapes.items()) == [(name, t.shape) for name, t in params.items()]
+
+    def test_arrays_off_the_config_rejected_naming_the_file(self, tmp_path):
+        path = str(tmp_path / "m.ckpt")
+        save_checkpoint(path, ModelConfig(**TOY), {"x": np.zeros(3)})
+        with pytest.raises(CheckpointError, match=f"^{path}: no array enc.word_emb"):
+            BertPgn.from_checkpoint(path)
 
     def test_init_deterministic_per_seed(self):
         a = init_params(ModelConfig(**TOY), seed=9)

@@ -54,6 +54,11 @@ class TestImportBoundary:
             json.dumps({"id": "r1", "question_text": "what is the capital"}) + "\n",
             encoding="utf-8",
         )
+        (tmp_path / "news.jsonl").write_text(
+            json.dumps({"id": "r1", "article": "paris is the capital of france",
+                        "highlights": "paris"}) + "\n",
+            encoding="utf-8",
+        )
         out = run_fresh(
             """
             import sys
@@ -64,13 +69,16 @@ class TestImportBoundary:
                  "--vocab", "vocab.txt"],
                 ["eval", "gen", "--candidates", "cands.jsonl", "--references", "prep.jsonl",
                  "--vocab", "vocab.txt", "--output", "gen.json", "--per-example", "gen.csv"],
+                ["eval", "qa", "--questions", "cands.jsonl", "--contexts", "news.jsonl",
+                 "--vocab", "vocab.txt", "--output-prefix", "qa"],
             ):
                 print(cli.main(argv), "numpy" in sys.modules)
             """,
             tmp_path,
         )
-        assert out.split("\n") == ["0 False", "0 False", "0 False", ""]
+        assert out.split("\n") == ["0 False", "0 False", "0 False", "0 False", ""]
         assert json.loads((tmp_path / "gen.json").read_text(encoding="utf-8"))["n"] == 1
+        assert (tmp_path / "qa_scatter.csv").read_text(encoding="utf-8").count("\n") == 2
 
 
 class TestPublicNames:

@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from helpers import params_digest
-from sqgen import numerics as nm
 from sqgen.numerics import ConfigError
 from sqgen.qaeval import (
     FLAG_NAMES,
@@ -16,12 +15,11 @@ from sqgen.qaeval import (
     ContextTooShort,
     DegenerateInput,
     InvalidAnnotationSet,
-    JointQaScorer,
     LexicalOverlapScorer,
-    QaConfig,
-    QaExample,
     QaOutput,
     ScorerError,
+    _check_distribution,
+    _longest_common_run,
     answerability,
     best_span,
     correlation_report,
@@ -32,7 +30,6 @@ from sqgen.qaeval import (
     unanimity_ratios,
     z_normalize,
 )
-from sqgen.training import AdamState, TrainConfig, adam_step
 
 
 def one_hot(size: int, idx: int) -> np.ndarray:
@@ -83,6 +80,19 @@ class TestBestSpan:
             assert (got.start, got.end) == want[:2]
             assert got.prob == pytest.approx(want[2], abs=1e-15)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_force_on_ties_and_tiny_negatives(self, data):
+        # Few distinct values make tied products common; -1e-12 is the
+        # smallest entry `_check_distribution` admits.
+        value = st.sampled_from([0.0, 0.25, 0.5, 1.0, -1e-12])
+        n = data.draw(st.integers(2, 12), label="n")
+        p_start = data.draw(st.lists(value, min_size=n + 1, max_size=n + 1), label="p_start")
+        p_end = data.draw(st.lists(value, min_size=n + 1, max_size=n + 1), label="p_end")
+        as_array = data.draw(st.booleans(), label="as_array")
+        got = best_span(*(map(np.array, (p_start, p_end)) if as_array else (p_start, p_end)))
+        assert (got.start, got.end, got.prob) == oracles.best_span(p_start, p_end)
+
     def test_short_context_rejected(self):
         with pytest.raises(ContextTooShort):
             best_span(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
@@ -90,6 +100,31 @@ class TestBestSpan:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ConfigError):
             best_span(np.ones(4) / 4, np.ones(5) / 5)
+
+    def test_no_comparable_product_rejected(self):
+        with pytest.raises(ConfigError, match="no span product"):
+            best_span([0.5, math.nan, 0.5], [0.5, 0.25, 0.25])
+
+
+class TestCheckDistribution:
+    @pytest.mark.parametrize("kind", [list, np.array])
+    @pytest.mark.parametrize("bad, message", [
+        ([0.5, math.nan, 0.5], "non-finite"),
+        ([0.5, math.inf, 0.5], "non-finite"),
+        ([1.5, -math.inf, 0.5], "non-finite"),
+        ([1.0 + 1e-9, -1e-9, 0.0], "negative"),
+        ([0.5, 0.25, 0.25 + 2e-6], "sums to"),
+        ([], "sums to"),
+    ])
+    def test_rejects(self, kind, bad, message):
+        with pytest.raises(ScorerError, match=message):
+            _check_distribution("p", kind(bad))
+
+    @pytest.mark.parametrize("kind", [list, np.array])
+    def test_admits_tiny_negatives_and_returns_floats(self, kind):
+        got = _check_distribution("p", kind([-1e-12, 0.25, 0.75 + 1e-12]))
+        assert got == [-1e-12, 0.25, 0.75 + 1e-12]
+        assert all(type(x) is float for x in got)
 
 
 class TestScores:
@@ -239,6 +274,24 @@ class TestLexicalOverlapScorer:
             LexicalOverlapScorer().score([5], [])
 
 
+class TestLongestCommonRun:
+    def test_earliest_of_the_longest_runs(self):
+        # "5 6" occurs at context 1 and 4; "7 8 9" at 6 is longer.
+        assert _longest_common_run([5, 6, 0, 7, 8, 9], [1, 5, 6, 2, 5, 6, 7, 8, 9]) == (6, 3)
+        assert _longest_common_run([5, 6], [1, 5, 6, 2, 5, 6]) == (1, 2)
+        assert _longest_common_run([5], [1, 2]) == (0, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        question=st.lists(st.integers(0, 3), max_size=12),
+        context=st.lists(st.integers(0, 3), max_size=16),
+    )
+    def test_matches_full_table(self, question, context):
+        assert _longest_common_run(question, context) == oracles.longest_common_run(
+            question, context
+        )
+
+
 def three_annotators(article: str, votes: tuple[bool, bool, bool], flag: str = "span"):
     return [
         annotation(article, f"ann{k}", **{flag: vote})
@@ -334,52 +387,3 @@ class TestCorrelationReport:
         anns = three_annotators("only", (True, True, True))
         with pytest.raises(DegenerateInput):
             correlation_report({"only": (1.0, 2.0)}, anns)
-
-
-class TestJointQaScorer:
-    def test_config_validates_heads(self):
-        with pytest.raises(ConfigError):
-            QaConfig(vocab_size=20, d_model=10, n_heads=4)
-
-    def test_seeded_init_bytes_are_pinned(self):
-        cfg = QaConfig(vocab_size=20, d_model=16, n_heads=2, layers=2, ffn_dim=32)
-        params = JointQaScorer(cfg, seed=0).params
-        assert len(params) == 41
-        assert params_digest(params) == (
-            "4f2a8487d851b0e149669fde08cf42d73848e6a30afb0059113c988795dcbf7f"
-        )
-
-    def test_score_shapes_and_normalization(self):
-        scorer = JointQaScorer(QaConfig(vocab_size=20, d_model=16, n_heads=2, layers=1, ffn_dim=32))
-        out = scorer.score([5, 6], [7, 8, 9])
-        assert out.p_start.shape == (4,)  # sentinel + 3 context positions
-        assert out.p_end.shape == (4,)
-        assert out.type_probs.shape == (4,)
-        assert_allclose(out.p_start.sum(), 1.0, atol=1e-9)
-        assert_allclose(out.p_end.sum(), 1.0, atol=1e-9)
-        assert_allclose(out.type_probs.sum(), 1.0, atol=1e-9)
-
-    def test_fit_learns_gold_span(self):
-        cfg = QaConfig(vocab_size=20, d_model=16, n_heads=2, layers=1, ffn_dim=32)
-        scorer = JointQaScorer(cfg, seed=0)
-        example = QaExample([5, 6], [7, 8, 9, 10], start=2, end=4, qa_type=1)
-        state, train_cfg = AdamState(), TrainConfig(lr=1e-3)
-        for _ in range(150):
-            loss = scorer.loss(example)
-            adam_step(scorer.params, nm.grad_map(loss, scorer.params), state, train_cfg)
-        assert loss.item() < 0.5
-        scores = qa_score(scorer, example.question_ids, example.context_ids)
-        assert (scores.span.start, scores.span.end) == (2, 4)
-        assert scores.answerability > 0.0
-        assert scores.granularity > 0.0  # trained toward the long-answer type
-
-    def test_overlong_sequence_rejected(self):
-        cfg = QaConfig(vocab_size=20, d_model=16, n_heads=2, layers=1, ffn_dim=32, max_seq=8)
-        scorer = JointQaScorer(cfg, seed=0)
-        with pytest.raises(ScorerError, match="max_seq"):
-            scorer.score([5, 6, 7], [8, 9, 10, 11, 12])
-
-    def test_empty_context_rejected(self):
-        scorer = JointQaScorer(QaConfig(vocab_size=20, d_model=16, n_heads=2, layers=1, ffn_dim=32))
-        with pytest.raises(ScorerError):
-            scorer.score([5], [])

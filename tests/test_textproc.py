@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -83,23 +83,26 @@ class TestMergeOrder:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_merges_match_a_full_scan(self, data):
-        # The word mark as a letter lets a merge respell a token already known.
+        # A word mark inside a line is a word break, so training on the line
+        # is training on it with spaces in place of the marks.
         letters = data.draw(st.lists(st.sampled_from("abc" + textproc.WORD_MARK),
                                      min_size=2, max_size=4, unique=True))
         word = st.text(st.sampled_from(letters), min_size=1, max_size=6)
         lines = data.draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
                                    min_size=1, max_size=5))
         target = data.draw(st.integers(4 + len(letters) * 2, 60))
+        spaced = [line.replace(textproc.WORD_MARK, " ") for line in lines]
+        assume(any(line.split() for line in spaced))
         vocab = train_vocab(lines, target_size=target)
-        assert (vocab.tokens, vocab.merges) == oracles.scan_train_vocab(lines, target)
+        assert (vocab.tokens, vocab.merges) == oracles.scan_train_vocab(spaced, target)
 
-    def test_merge_that_respells_a_known_token(self):
-        # The word starts with the symbol "▁▁" (mark + "▁"); the merge
-        # ("▁", "▁") spells that token again mid-word, so pairs holding it
-        # gain counts and must stay in play.
+    def test_word_mark_cannot_respell_a_known_token(self):
+        # With the mark read as a letter, "▁a▁▁▁" would start with the symbol
+        # "▁▁" that the merge ("▁", "▁") spells again mid-word. Read as a
+        # word break, it is the one word "a", with nothing to merge.
         vocab = train_vocab(["▁a▁▁▁"], target_size=15)
-        assert vocab.merges[0] == ("▁", "▁")
-        assert (vocab.tokens, vocab.merges) == oracles.scan_train_vocab(["▁a▁▁▁"], 15)
+        assert vocab.merges == []
+        assert (vocab.tokens, vocab.merges) == oracles.scan_train_vocab([" a   "], 15)
 
     def test_vocab_bytes_are_pinned(self, tmp_path):
         # sha256 as the per-merge full scan of the parent commit wrote it
@@ -148,6 +151,20 @@ class TestDecode:
 
     def test_round_trip_normalizes_whitespace(self, tiny_vocab):
         assert decode(encode("  the   cat  ", tiny_vocab), tiny_vocab) == "the cat"
+
+    @settings(max_examples=200, deadline=None)
+    @given(lines=st.lists(st.text(alphabet="abAB \t" + textproc.WORD_MARK, max_size=16),
+                          min_size=1, max_size=4))
+    def test_word_mark_reads_as_a_space(self, lines):
+        # Trained on the same lines, so every character is known: the round
+        # trip gives the words of the lowercased text split at the mark, and
+        # no token holds the mark past its first character.
+        vocab = train_vocab(["a b ab ba"] + lines, target_size=40)
+        assert all(textproc.WORD_MARK not in tok[1:] for tok in vocab.tokens[4:])
+        for text in lines:
+            words = text.lower().replace(textproc.WORD_MARK, " ").split()
+            assert encode(text, vocab) == encode(" ".join(words), vocab)
+            assert decode(encode(text, vocab), vocab) == " ".join(words)
 
     def test_out_of_range_id_rejected(self, tiny_vocab):
         with pytest.raises(InvalidTokenId):
