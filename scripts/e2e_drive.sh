@@ -65,6 +65,8 @@ rows = list(csv.DictReader(open("run/train_log.csv", encoding="utf-8")))
 print(min(rows, key=lambda row: float(row["dev_perplexity"]))["epoch"])
 ')
 cmp run/best.ckpt "run/epoch_$(printf %03d "$best_epoch").ckpt"
+leftover=$(find run -name '.*.tmp')
+[ -z "$leftover" ] || { echo "temporary files left by train: $leftover"; exit 1; }
 
 echo "== generate (beam + nucleus)"
 sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \

@@ -478,7 +478,7 @@ def save_checkpoint(
         fh.write(json.dumps(manifest, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for n in names:
-            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arrays[n], dtype="<f8"))
 
 
 def _parse_manifest(

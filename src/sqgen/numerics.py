@@ -94,15 +94,19 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, g: np.ndarray) -> None:
+    def _accumulate(self, g: np.ndarray, own: bool = False) -> None:
         """Add g to .grad without ever writing into an array the node does not
-        own: one op may hand the same g to two parents. The first g is kept
-        as is when it is writable and laid out like a fresh zeros_like(data),
-        so every later op reads the same memory order and sums the same bits;
-        any other g is copied into that layout."""
+        own: one op may hand the same g to two parents, and an earlier .grad
+        may be held elsewhere. The first g is kept as is when it is writable
+        and laid out like a fresh zeros_like(data), so every later op reads
+        the same memory order and sums the same bits; any other g is copied
+        into that layout. `own` says the caller made g for this node alone,
+        so a sum goes into g itself rather than a third array."""
+        fits = g.flags.writeable and g.strides == self.data.strides and self.data.flags.c_contiguous
         if self.grad is not None:
-            self.grad = np.add(self.grad, g, out=np.empty_like(self.data))
-        elif g.flags.writeable and g.strides == self.data.strides and self.data.flags.c_contiguous:
+            out = g if own and fits else np.empty_like(self.data)
+            self.grad = np.add(self.grad, g, out=out)
+        elif fits:
             self.grad = g
         else:
             self.grad = np.zeros_like(self.data)
@@ -342,16 +346,17 @@ def getitem(a, key) -> Tensor:
     """out = a[key]; the gradient scatters back with np.add.at, so repeated
     indices accumulate. The one gather op: embedding and take_per_row are
     getitem with their index built. The scatter goes into a fresh table,
-    which becomes a's .grad when a has none yet; adding repeated ids one by
-    one into an existing .grad would round differently from adding the
-    finished table."""
+    which becomes a's .grad when a has none yet and takes the sum with an
+    existing .grad otherwise; adding repeated ids one by one into an
+    existing .grad would round differently from adding the finished
+    table."""
     a = _as_tensor(a)
 
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
             np.add.at(full, key, g)
-            a._accumulate(full)
+            a._accumulate(full, own=True)
 
     return Tensor._make(a.data[key], (a,), backward)
 
@@ -410,7 +415,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             x._accumulate(_unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
         if w.requires_grad:
-            w._accumulate(_unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
+            w._accumulate(_unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape), own=True)
         if b.requires_grad:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
@@ -419,10 +424,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def _softmax_into(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
     """Stabilized softmax of x along `axis`, written into `out` (which may
-    be x itself) or a fresh array; NaN anywhere in x is an error."""
-    if np.isnan(x).any():
+    be x itself) or a fresh array; NaN anywhere in x is an error. A NaN
+    makes its row's max NaN, so the check reads the maxima only."""
+    top = x.max(axis=axis, keepdims=True)
+    if np.isnan(top).any():
         raise NumericalError("softmax received NaN")
-    out = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
+    out = np.subtract(x, top, out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=axis, keepdims=True)
     return out

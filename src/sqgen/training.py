@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import shutil
 import time
 from dataclasses import astuple, dataclass, field, fields
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import files
 from . import numerics as nm
 from .corpus import DatasetSplit, PreparedExample
-from .model import BertPgn, save_checkpoint
+from .model import BertPgn, load_checkpoint, save_checkpoint
 from .numerics import Tensor
 from .textproc import BOS_ID, EOS_ID, PAD_ID
 
@@ -194,15 +195,18 @@ def train(
     """Run the full loop; the model ends at the last epoch's parameters and
     the best (dev-perplexity) parameters come back as plain arrays.
 
-    With checkpoint_dir set, every epoch is saved as epoch_NNN.ckpt and the
-    winner is re-saved as best.ckpt.
+    With checkpoint_dir set, every epoch is saved as epoch_NNN.ckpt, best.ckpt
+    is a byte copy of the winner's file (a save of the initial parameters
+    when no epoch ran), and the best parameters are read back from it once
+    the Adam state is gone, so training holds no copy of the parameters.
+    Without it, the winner's parameters are copied in memory.
     """
     if not split.train:
         raise InvalidDataset("empty training split")
     eval_set = split.dev if split.dev else split.train
 
     snapshot = lambda: {k: p.data.copy() for k, p in model.params.items()}
-    best_params = snapshot()
+    best_params = snapshot() if checkpoint_dir is None else {}
     best_ppl = math.inf
     best_epoch = 0
     state = AdamState()
@@ -249,10 +253,20 @@ def train(
                 f"{checkpoint_dir}/epoch_{epoch:03d}.ckpt", model.config, model.params
             )
         if select_best([row.dev_perplexity for row in log]) == epoch - 1:
-            best_epoch, best_ppl, best_params = epoch, dev_ppl, snapshot()
+            best_epoch, best_ppl = epoch, dev_ppl
+            if checkpoint_dir is None:
+                best_params = snapshot()
 
+    del state  # the moments are freed before best_params is read back
     if checkpoint_dir is not None:
-        save_checkpoint(f"{checkpoint_dir}/best.ckpt", model.config, best_params)
+        best = f"{checkpoint_dir}/best.ckpt"
+        if best_epoch:
+            with open(f"{checkpoint_dir}/epoch_{best_epoch:03d}.ckpt", "rb") as src:
+                with files.replacing(best, binary=True) as dst:
+                    shutil.copyfileobj(src, dst)
+        else:
+            save_checkpoint(best, model.config, model.params)
+        best_params = load_checkpoint(best)[1]
     if log_path is not None:
         write_log_csv(log, log_path)
     return TrainResult(best_epoch, best_ppl, log, best_params)

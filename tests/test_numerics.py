@@ -393,6 +393,23 @@ class TestGradientAliasing:
         check_grads_by_fd(build, {"table": table}, rng, samples=18,
                           grads={"table": table.grad})
 
+    def test_one_weight_accumulates_over_two_backward_calls(self):
+        rng = np.random.default_rng(42)
+        w, b = param(rng, 4, 5), param(rng, 5)
+        x1, x2 = rng.normal(size=(3, 4)), rng.normal(size=(2, 4))
+        t1, t2 = rng.normal(size=(3, 5)), rng.normal(size=(2, 5))
+        first = lambda: nm.sum_(nm.linear(Tensor(x1), w, b) * Tensor(t1))
+        second = lambda: nm.sum_(nm.linear(Tensor(x2), w, b) * Tensor(t2))
+
+        first().backward()
+        after_first = w.grad
+        kept = after_first.copy()
+        second().backward()
+        assert np.array_equal(after_first, kept)  # the first .grad is not written through
+        build = lambda: first() + second()
+        check_grads_by_fd(build, {"w": w, "b": b}, rng, samples=18,
+                          grads={"w": w.grad, "b": b.grad})
+
 
 class TestOpGradients:
     """Finite-difference checks for each remaining op, alone and composed."""

@@ -15,6 +15,7 @@ from oracles import summed_graph_step
 from sqgen import numerics as nm
 from sqgen import training
 from sqgen.corpus import DatasetSplit, PreparedExample
+from sqgen.model import load_checkpoint, save_checkpoint
 from sqgen.training import (
     AdamState,
     InvalidDataset,
@@ -264,6 +265,55 @@ class TestTrain:
         m.params["enc.word_emb"].data[:] = np.nan
         with pytest.raises(TrainingDiverged):
             train(m, self._tiny_split(), TrainConfig(epochs=1, batch_size=2))
+
+    # With a checkpoint directory, best.ckpt is a byte copy of the best
+    # epoch's file and best_params is read back from it; no copy of the
+    # parameters is held while training.
+
+    def test_best_epoch_before_the_last_is_copied(self, tmp_path, monkeypatch):
+        def dev_perplexities(*values):
+            it = iter(values)
+            monkeypatch.setattr(training, "perplexity", lambda model, examples: next(it))
+
+        cfg = TrainConfig(epochs=3, batch_size=2, lr=1e-3)
+        dev_perplexities(5.0, 3.0, 4.0)
+        result = train(toy_model(seed=1), self._tiny_split(), cfg, checkpoint_dir=str(tmp_path))
+        assert result.best_epoch == 2
+        best = (tmp_path / "best.ckpt").read_bytes()
+        assert best == (tmp_path / "epoch_002.ckpt").read_bytes()
+        assert best != (tmp_path / "epoch_003.ckpt").read_bytes()
+        _, arrays = load_checkpoint(str(tmp_path / "epoch_002.ckpt"))
+        assert sorted(result.best_params) == sorted(arrays)
+        assert all(np.array_equal(result.best_params[k], arrays[k]) for k in arrays)
+
+        dev_perplexities(5.0, 3.0, 4.0)
+        in_memory = train(toy_model(seed=1), self._tiny_split(), cfg).best_params
+        assert all(in_memory[k].tobytes() == arrays[k].tobytes() for k in arrays)
+
+    def test_epochs_zero_saves_the_initial_params(self, tmp_path):
+        m = toy_model(seed=1)
+        save_checkpoint(str(tmp_path / "initial.ckpt"), m.config, m.params)
+        result = train(m, self._tiny_split(), TrainConfig(epochs=0), checkpoint_dir=str(tmp_path))
+        assert (tmp_path / "best.ckpt").read_bytes() == (tmp_path / "initial.ckpt").read_bytes()
+        assert all(np.array_equal(result.best_params[k], p.data) for k, p in m.params.items())
+        assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "initial.ckpt"]
+
+    def test_peak_memory_holds_no_copy_of_the_params(self, tmp_path):
+        examples = copy_task(8, vocab_size=400)
+
+        def peak(checkpoint_dir):
+            m = toy_model(seed=1, vocab_size=400)
+            cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=2)
+            tracemalloc.start()
+            try:
+                train(m, DatasetSplit(train=examples, dev=[]), cfg, checkpoint_dir=checkpoint_dir)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        param_bytes = sum(p.data.nbytes for p in toy_model(vocab_size=400).params.values())
+        in_memory, on_disk = peak(None), peak(str(tmp_path))
+        assert in_memory - on_disk >= 0.9 * param_bytes, (in_memory, on_disk, param_bytes)
 
 
 class TestPerExampleBackward:
