@@ -167,14 +167,16 @@ ratios = json.load(open("unanimity.json", encoding="utf-8"))
 assert ratios["span"]["n_unanimous"] == 2, ratios
 EOF
 
-echo "== every manifest records a numeric wall time"
+echo "== every manifest records a numeric wall time and peak RSS"
 python3 -c '
 import glob, json
 paths = sorted(glob.glob("**/*.manifest.json", recursive=True))
 assert len(paths) == 9, paths
 for path in paths:
-    wall = json.load(open(path, encoding="utf-8"))["wall_seconds"]
-    assert isinstance(wall, (int, float)) and wall > 0, (path, wall)
+    manifest = json.load(open(path, encoding="utf-8"))
+    for key in ("wall_seconds", "peak_rss_mb"):
+        value = manifest[key]
+        assert isinstance(value, (int, float)) and value > 0, (path, key, value)
 '
 
 echo "== no write left a temporary file behind"
@@ -201,5 +203,14 @@ if grep -q Traceback bad.err; then echo "traceback for --max-context -1"; exit 1
 test ! -e bad_prepared.jsonl
 leftover=$(find . -name '.*.tmp')
 [ -z "$leftover" ] || { echo "temporary files left: $leftover"; exit 1; }
+
+rc=0; sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
+    --vocab vocab.txt --output gen_nan.jsonl --mode nucleus --temperature nan \
+    2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for --temperature nan, got $rc"; exit 1; }
+grep -q '^error: temperature must be >= 0' bad.err
+if grep -q Traceback bad.err; then echo "traceback for --temperature nan"; exit 1; fi
+test ! -e gen_nan.jsonl
+test ! -e gen_nan.jsonl.manifest.json
 
 echo "e2e drive OK"

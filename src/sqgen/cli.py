@@ -20,7 +20,8 @@ pure-Python commands `build-vocab`, `prepare`, `eval gen` and `eval qa` never
 load them.
 
 Every command that succeeds drops a `<output>.manifest.json` recording the
-command line, inputs, outputs, seed, settings, wall time and code version.
+command line, inputs, outputs, seed, settings, wall time, peak memory and
+code version.
 Exit codes: 0 success, 2 input error, 3 numerical failure.
 """
 
@@ -73,6 +74,7 @@ def write_manifest(
     seed: int | None,
     settings: dict | None = None,
     wall_seconds: float | None = None,
+    peak_rss_mb: float | None = None,
 ) -> None:
     manifest = {
         "command": command,
@@ -84,6 +86,7 @@ def write_manifest(
         "git": _git_describe(),
         "started_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "wall_seconds": wall_seconds,
+        "peak_rss_mb": peak_rss_mb,
     }
     files.write_json(output_path + ".manifest.json", manifest)
 
@@ -242,7 +245,7 @@ def cmd_train(args: argparse.Namespace) -> Done:
     from .model import BertPgn
 
     cfg = training.TrainConfig(**_given(args, "lr", "batch_size", "epochs", "seed"))
-    vocab = textproc.load_vocab(args.vocab)
+    vocab_size = len(textproc.load_vocab(args.vocab))  # only the size is kept
     examples = corpus.read_prepared(args.data)
     if not examples:
         raise ValueError(f"{args.data}: no examples")
@@ -253,7 +256,7 @@ def cmd_train(args: argparse.Namespace) -> Done:
         ratio = {} if args.split_ratio is None else {"ratio": args.split_ratio}
         split = corpus.split_dataset(examples, seed=cfg.seed, **ratio)
 
-    config = _model_config_from_args(args, vocab_size=len(vocab))
+    config = _model_config_from_args(args, vocab_size=vocab_size)
     model = BertPgn(config, seed=cfg.seed)
     os.makedirs(args.out_dir, exist_ok=True)
     log_path = os.path.join(args.out_dir, "train_log.csv")
@@ -644,7 +647,7 @@ NUMERIC_ERRORS = (ArithmeticError,)
 def main(argv: list[str] | None = None) -> int:
     """Check the `--config` file, run one command, and on success write its
     manifest, timed from the command's start, its own imports included, to
-    its end."""
+    its end, with the process's peak RSS at that point."""
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     command = f"eval {args.eval_kind}" if args.command == "eval" else args.command
@@ -652,9 +655,12 @@ def main(argv: list[str] | None = None) -> int:
         _apply_config(args)
         t0 = time.monotonic()
         done = args.func(args)
+        import resource  # here, not at module level, where it raised build-vocab's peak
+
         write_manifest(
             done.output_path, command, argv, done.inputs, done.outputs, done.seed,
             done.settings, wall_seconds=time.monotonic() - t0,
+            peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KB on Linux
         )
         return EXIT_OK
     except NUMERIC_ERRORS as exc:

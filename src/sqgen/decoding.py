@@ -50,7 +50,7 @@ def check_settings(*, max_len=0, beam=1, top_p=1.0, temperature=0.0) -> None:
         raise InvalidDecodeConfig(f"max_len must be >= 0, got {max_len}")
     if not 0.0 < top_p <= 1.0:
         raise InvalidDecodeConfig(f"top_p must be in (0,1], got {top_p}")
-    if temperature < 0.0:
+    if not temperature >= 0.0:  # NaN fails every comparison
         raise InvalidDecodeConfig(f"temperature must be >= 0, got {temperature}")
 
 

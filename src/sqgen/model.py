@@ -86,6 +86,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 0")
         if self.cross_layers < 1:
             raise ConfigError("cross_layers must be >= 1 (the copy path reads them)")
+        if self.ffn_dim < 1:
+            raise ConfigError(f"ffn_dim must be >= 1, got {self.ffn_dim}")
         if self.max_context < 1 or self.max_question < 1:
             raise ConfigError("max_context and max_question must be >= 1")
 

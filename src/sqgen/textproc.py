@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import files
 
@@ -51,19 +52,22 @@ class Vocab:
 
     tokens[i] is the string for id i; ids 0..3 are the specials. merges are
     applied in training order when encoding, so the table is part of the
-    tokenizer's behavior, not just bookkeeping.
+    tokenizer's behavior, not just bookkeeping. The lookup tables `id_of`
+    and `_merge_rank` are built by the first `encode`, so a vocabulary that
+    only decodes or counts its tokens never holds them.
     """
 
     tokens: list[str]
     merges: list[tuple[str, str]]
-    id_of: dict[str, int] = field(init=False, repr=False)
-    _merge_rank: dict[tuple[str, str], int] = field(init=False, repr=False)
-    _word_cache: dict[str, list[int]] = field(init=False, repr=False)
+    _word_cache: dict[str, list[int]] = field(init=False, repr=False, default_factory=dict)
 
-    def __post_init__(self) -> None:
-        self.id_of = {tok: i for i, tok in enumerate(self.tokens)}
-        self._merge_rank = {pair: r for r, pair in enumerate(self.merges)}
-        self._word_cache = {}
+    @cached_property
+    def id_of(self) -> dict[str, int]:
+        return {tok: i for i, tok in enumerate(self.tokens)}
+
+    @cached_property
+    def _merge_rank(self) -> dict[tuple[str, str], int]:
+        return {pair: r for r, pair in enumerate(self.merges)}
 
     def __len__(self) -> int:
         return len(self.tokens)

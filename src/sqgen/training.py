@@ -87,10 +87,20 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
+    """What `train` returns. `best` is the best parameters as plain arrays,
+    or the path of the checkpoint that holds them; `best_params` reads that
+    file on first access and keeps what it read."""
+
     best_epoch: int
     best_dev_perplexity: float
     log: list[EpochLog]
-    best_params: dict[str, np.ndarray]
+    best: dict[str, np.ndarray] | str = field(repr=False)
+
+    @property
+    def best_params(self) -> dict[str, np.ndarray]:
+        if isinstance(self.best, str):
+            self.best = load_checkpoint(self.best)[1]
+        return self.best
 
 
 def _teacher_forced(example: PreparedExample) -> tuple[list[int], list[int]]:
@@ -197,8 +207,8 @@ def train(
 
     With checkpoint_dir set, every epoch is saved as epoch_NNN.ckpt, best.ckpt
     is a byte copy of the winner's file (a save of the initial parameters
-    when no epoch ran), and the best parameters are read back from it once
-    the Adam state is gone, so training holds no copy of the parameters.
+    when no epoch ran), and the result's best_params are read from it only
+    when first accessed, so training holds no copy of the parameters.
     Without it, the winner's parameters are copied in memory.
     """
     if not split.train:
@@ -206,7 +216,7 @@ def train(
     eval_set = split.dev if split.dev else split.train
 
     snapshot = lambda: {k: p.data.copy() for k, p in model.params.items()}
-    best_params = snapshot() if checkpoint_dir is None else {}
+    best: dict[str, np.ndarray] | str = snapshot() if checkpoint_dir is None else {}
     best_ppl = math.inf
     best_epoch = 0
     state = AdamState()
@@ -255,9 +265,8 @@ def train(
         if select_best([row.dev_perplexity for row in log]) == epoch - 1:
             best_epoch, best_ppl = epoch, dev_ppl
             if checkpoint_dir is None:
-                best_params = snapshot()
+                best = snapshot()
 
-    del state  # the moments are freed before best_params is read back
     if checkpoint_dir is not None:
         best = f"{checkpoint_dir}/best.ckpt"
         if best_epoch:
@@ -266,10 +275,9 @@ def train(
                     shutil.copyfileobj(src, dst)
         else:
             save_checkpoint(best, model.config, model.params)
-        best_params = load_checkpoint(best)[1]
     if log_path is not None:
         write_log_csv(log, log_path)
-    return TrainResult(best_epoch, best_ppl, log, best_params)
+    return TrainResult(best_epoch, best_ppl, log, best)
 
 
 def write_log_csv(log: list[EpochLog], path: str) -> None:

@@ -127,6 +127,7 @@ class TestBuildVocab:
         assert manifest["outputs"] == [workspace["vocab"]]
         assert manifest["settings"]["size"] == 120
         assert "started_utc" in manifest
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
 
     def test_missing_input_exits_2(self, tmp_path):
         rc = cli.main(
@@ -201,6 +202,7 @@ class TestPrepare:
         )
         assert manifest["settings"]["kept"] == 3
         assert manifest["settings"]["rejected"] == {"no_paragraph_tag": 1}
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
 
     def test_news_strips_dateline_and_highlights(self, workspace, tmp_path):
         news = str(tmp_path / "news.jsonl")
@@ -248,6 +250,7 @@ class TestTrain:
         assert manifest["seed"] == 0
         assert manifest["settings"]["model"]["d_model"] == 16
         assert manifest["settings"]["train"]["epochs"] == 2
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
 
     def test_epochs_zero_still_writes_initial_best(self, workspace, tmp_path):
         out_dir = str(tmp_path / "run0")
@@ -263,6 +266,32 @@ class TestTrain:
         assert read_lines(str(tmp_path / "run0" / "train_log.csv")) == [
             "epoch,train_loss,dev_perplexity,wall_seconds,grad_norm,tokens_per_s"
         ]
+
+    def test_never_reads_a_checkpoint_back(self, workspace, tmp_path, monkeypatch):
+        from sqgen import model, training
+
+        reads = []
+        for module in (model, training):
+            monkeypatch.setattr(module, "load_checkpoint", lambda path: reads.append(path))
+        rc = cli.main(
+            ["train", "--data", workspace["prepared"], "--vocab", workspace["vocab"],
+             "--out-dir", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "2",
+             *TINY_MODEL_FLAGS]
+        )
+        assert rc == cli.EXIT_OK
+        assert (tmp_path / "run" / "best.ckpt").exists()
+        assert reads == []
+
+    @pytest.mark.parametrize("ffn_dim", ["0", "-1"])
+    def test_ffn_dim_below_1_exits_2_naming_it(self, workspace, tmp_path, capsys, ffn_dim):
+        rc = cli.main(
+            ["train", "--data", workspace["prepared"], "--vocab", workspace["vocab"],
+             "--out-dir", str(tmp_path / "run"), "--epochs", "0",
+             *TINY_MODEL_FLAGS, "--ffn-dim", ffn_dim]
+        )
+        assert rc == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: ffn_dim must be >= 1, got {ffn_dim}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_zero_heads_exits_2(self, workspace, tmp_path, capsys):
         rc = cli.main(
@@ -331,6 +360,7 @@ class TestGenerate:
         assert self.generate(workspace, out, "--mode", "greedy") == cli.EXIT_OK
         manifest = json.loads(open(out + ".manifest.json", encoding="utf-8").read())
         assert manifest["wall_seconds"] > 0.0
+        assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
         model = BertPgn.from_checkpoint(workspace["checkpoint"])
         finished = [
             greedy(model, model.encode_context(ex.context_ids, ex.type_ids), max_len=8).finished
@@ -378,6 +408,15 @@ class TestGenerate:
         )
         assert rc == cli.EXIT_INPUT
         assert [p.name for p in tmp_path.iterdir()] == ["empty.jsonl"]
+
+    def test_nan_temperature_exits_2_before_decoding(self, workspace, tmp_path, capsys):
+        out = tmp_path / "gen.jsonl"
+        assert self.generate(
+            workspace, str(out), "--mode", "nucleus", "--temperature", "nan"
+        ) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: temperature must be >= 0, got nan\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_vocab_size_mismatch_exits_2(self, workspace, tmp_path):
         small = str(tmp_path / "small_vocab.txt")
@@ -437,6 +476,8 @@ class TestGenerate:
     '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120, "n_heads": 0},'
     ' "arrays": []}',
     '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120, "n_heads": -4},'
+    ' "arrays": []}',
+    '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120, "ffn_dim": 0},'
     ' "arrays": []}',
     '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120},'
     ' "arrays": [{"name": "enc.word_emb", "shape": [2, "x"]}]}',

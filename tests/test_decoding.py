@@ -217,6 +217,8 @@ class TestSampleStep:
             sample_step(np.array([1.0]), top_p=1.5, temperature=1.0, rng=rng)
         with pytest.raises(InvalidDecodeConfig):
             sample_step(np.array([1.0]), top_p=0.5, temperature=-1.0, rng=rng)
+        with pytest.raises(InvalidDecodeConfig):
+            sample_step(np.array([1.0]), top_p=0.5, temperature=math.nan, rng=rng)
 
 
 class TestNucleusSample:
@@ -260,6 +262,7 @@ class TestSettingsChecked:
         lambda m: nucleus_sample(m, None, top_p=5.0, temperature=1.0, max_len=0),
         lambda m: nucleus_sample(m, None, top_p=0.0, temperature=1.0, max_len=0),
         lambda m: nucleus_sample(m, None, top_p=0.9, temperature=-1.0, max_len=0),
+        lambda m: nucleus_sample(m, None, top_p=0.9, temperature=math.nan, max_len=0),
         lambda m: nucleus_sample(m, None, top_p=0.9, temperature=1.0, max_len=-1),
         lambda m: beam_search(m, None, beam=0, max_len=0),
         lambda m: beam_search(m, None, beam=2, max_len=-1),

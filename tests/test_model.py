@@ -36,6 +36,11 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**{**TOY, "d_model": d_model, "n_heads": n_heads})
 
+    @pytest.mark.parametrize("ffn_dim", [0, -1])
+    def test_ffn_dim_must_be_positive(self, ffn_dim):
+        with pytest.raises(ConfigError, match=f"ffn_dim must be >= 1, got {ffn_dim}"):
+            ModelConfig(**{**TOY, "ffn_dim": ffn_dim})
+
     def test_cross_layers_must_exist(self):
         with pytest.raises(ConfigError):
             ModelConfig(**{**TOY, "cross_layers": 0})

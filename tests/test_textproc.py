@@ -132,6 +132,31 @@ class TestEncode:
         assert encode("The CAT", tiny_vocab) == encode("the cat", tiny_vocab)
 
 
+class TestLazyTables:
+    """`id_of` and the merge ranks are built by the first `encode`."""
+
+    def test_decode_only_vocab_builds_neither_table(self, tiny_vocab, tmp_path):
+        path = str(tmp_path / "vocab.txt")
+        save_vocab(tiny_vocab, path)
+        vocab = load_vocab(path)
+        assert decode(list(range(len(vocab))), vocab) == decode(
+            list(range(len(tiny_vocab))), tiny_vocab
+        )
+        assert "id_of" not in vars(vocab)
+        assert "_merge_rank" not in vars(vocab)
+
+    def test_encode_ids_are_pinned(self):
+        # sha256 of the ids as the parent commit, which built both tables in
+        # the constructor, encoded them
+        corpus = zipf_corpus()
+        vocab = train_vocab(corpus, target_size=3000)
+        assert "id_of" not in vars(vocab)
+        ids = [encode(line.upper() + " zqé", vocab) for line in corpus]
+        digest = hashlib.sha256(repr(ids).encode()).hexdigest()
+        assert digest == "ef8bf515ad2ab67f40056a9b7484c99e49ba41a1eadad8913f948d641c042d3c"
+        assert vocab.id_of == {tok: i for i, tok in enumerate(vocab.tokens)}
+
+
 class TestDecode:
     def test_empty(self, tiny_vocab):
         assert decode([], tiny_vocab) == ""

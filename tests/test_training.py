@@ -298,6 +298,19 @@ class TestTrain:
         assert all(np.array_equal(result.best_params[k], p.data) for k, p in m.params.items())
         assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "initial.ckpt"]
 
+    def test_best_params_are_read_from_best_ckpt_on_first_access(self, tmp_path, monkeypatch):
+        reads = []
+        monkeypatch.setattr(
+            training, "load_checkpoint", lambda path: reads.append(path) or load_checkpoint(path)
+        )
+        cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-3)
+        result = train(toy_model(seed=1), self._tiny_split(), cfg, checkpoint_dir=str(tmp_path))
+        assert reads == []
+        _, arrays = load_checkpoint(str(tmp_path / "best.ckpt"))
+        assert sorted(result.best_params) == sorted(arrays)
+        assert all(result.best_params[k].tobytes() == arrays[k].tobytes() for k in arrays)
+        assert reads == [str(tmp_path / "best.ckpt")]
+
     def test_peak_memory_holds_no_copy_of_the_params(self, tmp_path):
         examples = copy_task(8, vocab_size=400)
 
