@@ -2,9 +2,10 @@
 # End-to-end smoke drive of the `sqgen` CLI (installed, or from this checkout).
 #
 # Runs the whole pipeline on a tiny synthetic corpus in a scratch directory:
-# build-vocab -> prepare -> train -> generate (beam + nucleus, and beam
-# again through --config) -> eval gen / eval qa / eval correlate, asserting
-# exit codes and artifacts.
+# build-vocab -> prepare (nq + news) -> train (with a dev file, and on a
+# seeded split) -> generate (beam, nucleus, greedy, and beam again through
+# --config) -> eval gen / eval qa / eval correlate, asserting exit codes and
+# artifacts.
 # Finishes in well under a minute on a laptop.
 set -eu
 
@@ -68,15 +69,30 @@ cmp run/best.ckpt "run/epoch_$(printf %03d "$best_epoch").ckpt"
 leftover=$(find run -name '.*.tmp')
 [ -z "$leftover" ] || { echo "temporary files left by train: $leftover"; exit 1; }
 
-echo "== generate (beam + nucleus)"
+echo "== train without --dev (a seeded 2/1 split of the 3 examples)"
+sqgen train --data prepared.jsonl --vocab vocab.txt --split-ratio 0.5 \
+    --out-dir run_split --epochs 1 --batch-size 2 --seed 0 \
+    --d-model 16 --n-heads 2 --encoder-layers 1 --decoder-lm-layers 1 \
+    --cross-layers 1 --ffn-dim 32 --max-context 64 --max-question 16
+for f in best.ckpt epoch_001.ckpt train_log.csv train.manifest.json; do
+    test -s "run_split/$f"
+done
+[ "$(ls run_split | wc -l)" -eq 4 ] || { echo "unexpected files: $(ls run_split)"; exit 1; }
+[ "$(wc -l < run_split/train_log.csv)" -eq 2 ]
+cmp run_split/best.ckpt run_split/epoch_001.ckpt
+
+echo "== generate (beam + nucleus + greedy)"
 sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
     --vocab vocab.txt --output gen_beam.jsonl --max-question 8 \
     --mode beam --beam 2
 sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
     --vocab vocab.txt --output gen_nucleus.jsonl --max-question 8 \
     --mode nucleus --top-p 0.9 --temperature 1.0 --seed 7
+sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
+    --vocab vocab.txt --output gen_greedy.jsonl --max-question 8 --mode greedy
 [ "$(wc -l < gen_beam.jsonl)" -eq 3 ]
 [ "$(wc -l < gen_nucleus.jsonl)" -eq 3 ]
+[ "$(wc -l < gen_greedy.jsonl)" -eq 3 ]
 
 echo "== generate through --config (a typed file, then a string value)"
 echo '{"max_question": 8, "beam": 2, "lr": 0.5}' > settings.json
@@ -115,7 +131,7 @@ assert abs(report["bleu1"] - 100.0) < 1e-9, report
 assert abs(report["rouge_l"] - 100.0) < 1e-9, report
 EOF
 
-echo "== eval qa (lexical-overlap scorer)"
+echo "== prepare (news) and eval qa (lexical-overlap scorer)"
 cat > news.jsonl <<'EOF'
 {"id": "n1", "article": "(CNN) -- the storm closed roads across the coast", "highlights": "roads closed"}
 {"id": "n2", "article": "(CNN) -- everest is the tallest mountain on earth", "highlights": "tallest mountain"}
@@ -124,6 +140,9 @@ cat > questions.jsonl <<'EOF'
 {"id": "n1", "question_text": "the storm closed roads across the coast"}
 {"id": "n2", "question_text": "everest is the tallest mountain on earth"}
 EOF
+sqgen prepare --kind news --input news.jsonl --output news_prepared.jsonl \
+    --vocab vocab.txt
+[ "$(wc -l < news_prepared.jsonl)" -eq 2 ]
 sqgen eval qa --questions questions.jsonl --contexts news.jsonl \
     --vocab vocab.txt --output-prefix qa --context-source article --model-tag toy
 # Each question repeats its article, so both read as answerable.
@@ -171,7 +190,10 @@ echo "== every manifest records a numeric wall time and peak RSS"
 python3 -c '
 import glob, json
 paths = sorted(glob.glob("**/*.manifest.json", recursive=True))
-assert len(paths) == 9, paths
+assert len(paths) == 12, paths
+for added in ("run_split/train.manifest.json", "gen_greedy.jsonl.manifest.json",
+              "news_prepared.jsonl.manifest.json"):
+    assert added in paths, (added, paths)
 for path in paths:
     manifest = json.load(open(path, encoding="utf-8"))
     for key in ("wall_seconds", "peak_rss_mb"):

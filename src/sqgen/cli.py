@@ -638,7 +638,6 @@ INPUT_ERRORS = (
     ValueError,
     KeyError,
     OSError,
-    json.JSONDecodeError,
 )
 
 NUMERIC_ERRORS = (ArithmeticError,)

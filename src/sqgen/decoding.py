@@ -1,15 +1,15 @@
 """Search and sampling strategies over a next-token-distribution model.
 
 All three strategies speak to the model through one batched protocol: an
-object with `vocab_size` and
-`next_distributions(context, prefixes) -> (B, V) probabilities`, one row per
-prefix. Beam search asks for all live hypotheses in one call; greedy and
-nucleus sampling pass one prefix. The prefixes of one call have equal length,
-and each step's prefixes extend the previous step's, which lets a model keep
-per-prefix state on the context between calls (`BertPgn` caches attention
-keys and values there). Prefixes always start with BOS; a hypothesis finishes
-by emitting EOS. Every tie anywhere breaks toward the lowest token id, so
-decoding is a pure function of (model, context, arguments).
+object with `next_distributions(context, prefixes) -> (B, V) probabilities`,
+one row per prefix. Beam search asks for all live hypotheses in one call;
+greedy and nucleus sampling pass one prefix. The prefixes of one call have
+equal length, and each step's prefixes extend the previous step's, which
+lets a model keep per-prefix state on the context between calls (`BertPgn`
+caches attention keys and values there). Prefixes always start with BOS; a
+hypothesis finishes by emitting EOS. Every tie anywhere breaks toward the
+lowest token id, so decoding is a pure function of (model, context,
+arguments).
 """
 
 from __future__ import annotations

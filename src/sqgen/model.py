@@ -254,11 +254,6 @@ class BertPgn:
         self.config = config
         self.params = params if params is not None else init_params(config, seed)
 
-    # decoding protocol
-    @property
-    def vocab_size(self) -> int:
-        return self.config.vocab_size
-
     # -- encoder ---------------------------------------------------------
 
     def embed_inputs(self, context_ids, type_ids) -> Tensor:

@@ -259,7 +259,8 @@ def exp(a) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    out_data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out_data = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         if a.requires_grad:

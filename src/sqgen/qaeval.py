@@ -60,13 +60,6 @@ class ScorerError(RuntimeError):
     """The QA scorer failed or returned malformed distributions."""
 
 
-class Distribution(list):
-    """A list of probabilities with an array's `sum`."""
-
-    def sum(self) -> float:
-        return math.fsum(self)
-
-
 @dataclass
 class QaOutput:
     """p_start/p_end over positions 0..n (0 = no-answer sentinel),
@@ -326,8 +319,8 @@ class LexicalOverlapScorer:
         union = q_set | c_set
         jaccard = len(q_set & c_set) / len(union) if union else 0.0
 
-        p_start = Distribution([0.0] * (n + 1))
-        p_end = Distribution([0.0] * (n + 1))
+        p_start = [0.0] * (n + 1)
+        p_end = [0.0] * (n + 1)
         p_start[0] = p_end[0] = 1.0 - jaccard
         run_len = 0
         if jaccard > 0.0:
@@ -337,7 +330,7 @@ class LexicalOverlapScorer:
             p_start[start_pos] += jaccard
             p_end[end_pos] += jaccard
         r = run_len / n
-        type_probs = Distribution([1.0 - jaccard, r * jaccard, (1.0 - r) * jaccard, 0.0])
+        type_probs = [1.0 - jaccard, r * jaccard, (1.0 - r) * jaccard, 0.0]
         return QaOutput(p_start=p_start, p_end=p_end, type_probs=type_probs)
 
 

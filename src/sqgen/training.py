@@ -23,7 +23,7 @@ import numpy as np
 from . import files
 from . import numerics as nm
 from .corpus import DatasetSplit, PreparedExample
-from .model import BertPgn, load_checkpoint, save_checkpoint
+from .model import BertPgn, save_checkpoint
 from .numerics import Tensor
 from .textproc import BOS_ID, EOS_ID, PAD_ID
 
@@ -87,20 +87,12 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    """What `train` returns. `best` is the best parameters as plain arrays,
-    or the path of the checkpoint that holds them; `best_params` reads that
-    file on first access and keeps what it read."""
+    """What `train` returns; the best parameters are in `best.ckpt` when a
+    checkpoint directory was given."""
 
     best_epoch: int
     best_dev_perplexity: float
     log: list[EpochLog]
-    best: dict[str, np.ndarray] | str = field(repr=False)
-
-    @property
-    def best_params(self) -> dict[str, np.ndarray]:
-        if isinstance(self.best, str):
-            self.best = load_checkpoint(self.best)[1]
-        return self.best
 
 
 def _teacher_forced(example: PreparedExample) -> tuple[list[int], list[int]]:
@@ -202,23 +194,18 @@ def train(
     checkpoint_dir: str | None = None,
     log_path: str | None = None,
 ) -> TrainResult:
-    """Run the full loop; the model ends at the last epoch's parameters and
-    the best (dev-perplexity) parameters come back as plain arrays.
+    """Run the full loop; the model ends at the last epoch's parameters, and
+    the best (dev-perplexity) epoch is picked once the loop is done.
 
-    With checkpoint_dir set, every epoch is saved as epoch_NNN.ckpt, best.ckpt
-    is a byte copy of the winner's file (a save of the initial parameters
-    when no epoch ran), and the result's best_params are read from it only
-    when first accessed, so training holds no copy of the parameters.
-    Without it, the winner's parameters are copied in memory.
+    With checkpoint_dir set, every epoch is saved as epoch_NNN.ckpt and
+    best.ckpt is a byte copy of the winner's file (a save of the initial
+    parameters when no epoch ran), so training holds no copy of the
+    parameters. Without it, nothing is written.
     """
     if not split.train:
         raise InvalidDataset("empty training split")
     eval_set = split.dev if split.dev else split.train
 
-    snapshot = lambda: {k: p.data.copy() for k, p in model.params.items()}
-    best: dict[str, np.ndarray] | str = snapshot() if checkpoint_dir is None else {}
-    best_ppl = math.inf
-    best_epoch = 0
     state = AdamState()
     log: list[EpochLog] = []
     tokens = sum(len(ex.question_ids) + 1 for ex in split.train)  # + EOS
@@ -262,22 +249,20 @@ def train(
             save_checkpoint(
                 f"{checkpoint_dir}/epoch_{epoch:03d}.ckpt", model.config, model.params
             )
-        if select_best([row.dev_perplexity for row in log]) == epoch - 1:
-            best_epoch, best_ppl = epoch, dev_ppl
-            if checkpoint_dir is None:
-                best = snapshot()
 
+    best_epoch = select_best([row.dev_perplexity for row in log]) + 1 if log else 0
+    best_ppl = log[best_epoch - 1].dev_perplexity if log else math.inf
     if checkpoint_dir is not None:
-        best = f"{checkpoint_dir}/best.ckpt"
+        best_path = f"{checkpoint_dir}/best.ckpt"
         if best_epoch:
             with open(f"{checkpoint_dir}/epoch_{best_epoch:03d}.ckpt", "rb") as src:
-                with files.replacing(best, binary=True) as dst:
+                with files.replacing(best_path, binary=True) as dst:
                     shutil.copyfileobj(src, dst)
         else:
-            save_checkpoint(best, model.config, model.params)
+            save_checkpoint(best_path, model.config, model.params)
     if log_path is not None:
         write_log_csv(log, log_path)
-    return TrainResult(best_epoch, best_ppl, log, best)
+    return TrainResult(best_epoch, best_ppl, log)
 
 
 def write_log_csv(log: list[EpochLog], path: str) -> None:

@@ -268,11 +268,10 @@ class TestTrain:
         ]
 
     def test_never_reads_a_checkpoint_back(self, workspace, tmp_path, monkeypatch):
-        from sqgen import model, training
+        from sqgen import model
 
         reads = []
-        for module in (model, training):
-            monkeypatch.setattr(module, "load_checkpoint", lambda path: reads.append(path))
+        monkeypatch.setattr(model, "load_checkpoint", lambda path: reads.append(path))
         rc = cli.main(
             ["train", "--data", workspace["prepared"], "--vocab", workspace["vocab"],
              "--out-dir", str(tmp_path / "run"), "--epochs", "1", "--batch-size", "2",

@@ -36,6 +36,18 @@ def check_grads_by_fd(build_loss, params, rng, samples=6, tol=1e-6, grads=None):
             assert rel_err(fd, g[idx]) < tol, (name, idx, fd, g[idx])
 
 
+def test_sigmoid_bytes_match_the_three_exp_expression():
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 750.0, -750.0, np.inf, -np.inf]
+    x = np.concatenate([rng.standard_normal(100_000) * 30.0, edges])
+    expected = np.where(
+        x >= 0,
+        1.0 / (1.0 + np.exp(-np.abs(x))),
+        np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))),
+    )
+    assert nm.sigmoid(x).data.tobytes() == expected.tobytes()
+
+
 class TestSoftmax:
     def test_symmetry(self):
         out = nm.softmax(Tensor([[0.0, 0.0]]), axis=-1)
