@@ -69,8 +69,8 @@ cmp run/best.ckpt "run/epoch_$(printf %03d "$best_epoch").ckpt"
 leftover=$(find run -name '.*.tmp')
 [ -z "$leftover" ] || { echo "temporary files left by train: $leftover"; exit 1; }
 
-echo "== train without --dev (a seeded 2/1 split of the 3 examples)"
-sqgen train --data prepared.jsonl --vocab vocab.txt --split-ratio 0.5 \
+echo "== train without --dev (a seeded 2/1 split of the 3 examples at the default ratio)"
+sqgen train --data prepared.jsonl --vocab vocab.txt \
     --out-dir run_split --epochs 1 --batch-size 2 --seed 0 \
     --d-model 16 --n-heads 2 --encoder-layers 1 --decoder-lm-layers 1 \
     --cross-layers 1 --ffn-dim 32 --max-context 64 --max-question 16
@@ -80,6 +80,11 @@ done
 [ "$(ls run_split | wc -l)" -eq 4 ] || { echo "unexpected files: $(ls run_split)"; exit 1; }
 [ "$(wc -l < run_split/train_log.csv)" -eq 2 ]
 cmp run_split/best.ckpt run_split/epoch_001.ckpt
+python3 -c '
+import json
+settings = json.load(open("run_split/train.manifest.json", encoding="utf-8"))["settings"]
+assert (settings["train_examples"], settings["dev_examples"]) == (2, 1), settings
+'
 
 echo "== generate (beam + nucleus + greedy)"
 sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
@@ -234,5 +239,24 @@ grep -q '^error: temperature must be >= 0' bad.err
 if grep -q Traceback bad.err; then echo "traceback for --temperature nan"; exit 1; fi
 test ! -e gen_nan.jsonl
 test ! -e gen_nan.jsonl.manifest.json
+
+python3 - <<'EOF'
+import json
+rows = [json.loads(line) for line in open("prepared.jsonl", encoding="utf-8")]
+rows[1]["id"] = "neg"
+rows[1]["context_ids"][0] = -3
+with open("bad_prepared.jsonl", "w", encoding="utf-8") as f:
+    for row in rows:
+        f.write(json.dumps(row) + "\n")
+EOF
+rc=0; sqgen generate --checkpoint run/best.ckpt --data bad_prepared.jsonl \
+    --vocab vocab.txt --output gen_neg.jsonl 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a negative context id, got $rc"; exit 1; }
+grep -q '^error: bad_prepared.jsonl:2: example neg: ' bad.err
+if grep -q Traceback bad.err; then echo "traceback for a negative context id"; exit 1; fi
+test ! -e gen_neg.jsonl
+test ! -e gen_neg.jsonl.manifest.json
+leftover=$(find . -name '.*.tmp')
+[ -z "$leftover" ] || { echo "temporary files left: $leftover"; exit 1; }
 
 echo "e2e drive OK"

@@ -246,33 +246,38 @@ def cmd_train(args: argparse.Namespace) -> Done:
 
     cfg = training.TrainConfig(**_given(args, "lr", "batch_size", "epochs", "seed"))
     vocab_size = len(textproc.load_vocab(args.vocab))  # only the size is kept
+    config = _model_config_from_args(args, vocab_size=vocab_size)
     examples = corpus.read_prepared(args.data)
-    if not examples:
-        raise ValueError(f"{args.data}: no examples")
-
     if args.dev:
         split = corpus.DatasetSplit(train=examples, dev=corpus.read_prepared(args.dev))
     else:
         ratio = {} if args.split_ratio is None else {"ratio": args.split_ratio}
-        split = corpus.split_dataset(examples, seed=cfg.seed, **ratio)
+        try:
+            split = corpus.split_dataset(examples, seed=cfg.seed, **ratio)
+        except corpus.TooFewToSplit as exc:
+            raise ValueError(f"{args.data}: {exc}; give a dev set with --dev") from exc
+    for path, part in ((args.data, split.train), (args.dev or args.data, split.dev)):
+        if not part:
+            raise ValueError(f"{path}: no examples")
+        corpus.check_fits(part, path, vocab_size, config.max_context, config.max_question)
 
-    config = _model_config_from_args(args, vocab_size=vocab_size)
     model = BertPgn(config, seed=cfg.seed)
     os.makedirs(args.out_dir, exist_ok=True)
-    log_path = os.path.join(args.out_dir, "train_log.csv")
-    result = training.train(
-        model, split, cfg, checkpoint_dir=args.out_dir, log_path=log_path
-    )
+    result = training.train(model, split, cfg, out_dir=args.out_dir)
     print(
-        f"best epoch {result.best_epoch} dev_perplexity {result.best_dev_perplexity:.4f}",
+        f"best epoch {result.best_epoch} dev_perplexity {result.best_dev_perplexity:.4f} "
+        f"train_examples {len(split.train)} dev_examples {len(split.dev)}",
         file=sys.stderr,
     )
     return Done(
         os.path.join(args.out_dir, "train"),
         [args.data, args.vocab] + ([args.dev] if args.dev else []),
-        [os.path.join(args.out_dir, "best.ckpt"), log_path],
+        [os.path.join(args.out_dir, name) for name in ("best.ckpt", "train_log.csv")],
         seed=cfg.seed,
-        settings={"model": asdict(config), "train": asdict(cfg)},
+        settings={
+            "model": asdict(config), "train": asdict(cfg),
+            "train_examples": len(split.train), "dev_examples": len(split.dev),
+        },
     )
 
 
@@ -289,6 +294,7 @@ def cmd_generate(args: argparse.Namespace) -> Done:
             f"vocab_size={model.config.vocab_size}"
         )
     examples = corpus.read_prepared(args.data)
+    corpus.check_fits(examples, args.data, len(vocab), model.config.max_context)
     max_len = _setting(args, "max_question", model.config.max_question)
     beam = _setting(args, "beam", decoding.DEFAULT_BEAM)
     top_p = _setting(args, "top_p", decoding.DEFAULT_TOP_P)

@@ -42,6 +42,10 @@ class InvalidRatio(ValueError):
     """Split ratio must sit strictly between 0 and 1."""
 
 
+class TooFewToSplit(ValueError):
+    """A split needs two examples: one to train on and one to hold out."""
+
+
 @dataclass
 class RawRecord:
     id: str
@@ -71,7 +75,6 @@ class Rejected:
 class DatasetSplit:
     train: list[PreparedExample]
     dev: list[PreparedExample]
-    seed: int = 0
 
 
 @dataclass
@@ -206,13 +209,16 @@ def prepare_news(
 def split_dataset(
     examples: list[PreparedExample], ratio: float = 0.9, seed: int = 0
 ) -> DatasetSplit:
-    """Seeded shuffle, then the first ceil(ratio * N) examples become train."""
+    """Seeded shuffle, then the first min(ceil(ratio * N), N - 1) examples
+    become train, so dev always holds at least one."""
     if not 0.0 < ratio < 1.0:
         raise InvalidRatio(f"ratio must be in (0,1), got {ratio}")
+    if len(examples) < 2:
+        raise TooFewToSplit(f"{len(examples)} example(s) leave none to hold out for dev")
     shuffled = list(examples)
     random.Random(seed).shuffle(shuffled)
-    n_train = math.ceil(ratio * len(shuffled))
-    return DatasetSplit(train=shuffled[:n_train], dev=shuffled[n_train:], seed=seed)
+    n_train = min(math.ceil(ratio * len(shuffled)), len(shuffled) - 1)
+    return DatasetSplit(train=shuffled[:n_train], dev=shuffled[n_train:])
 
 
 def dataset_stats(examples: list[PreparedExample]) -> DatasetStats:
@@ -297,14 +303,46 @@ def write_prepared(examples: Iterable[PreparedExample], path: str) -> None:
 
 
 def _prepared_example(obj: dict) -> PreparedExample:
-    return PreparedExample(
+    ex = PreparedExample(
         id=str(obj["id"]),
         context_ids=[int(i) for i in obj["context_ids"]],
         type_ids=[int(i) for i in obj["type_ids"]],
         question_ids=[int(i) for i in obj["question_ids"]],
         answer_kind=obj["answer_kind"],
     )
+    if len(ex.type_ids) != len(ex.context_ids):
+        raise ValueError(
+            f"example {ex.id}: {len(ex.type_ids)} type_ids for {len(ex.context_ids)} context_ids"
+        )
+    if not set(ex.type_ids) <= {0, 1}:
+        raise ValueError(f"example {ex.id}: type_ids must be 0 or 1")
+    if min(ex.context_ids + ex.question_ids, default=0) < 0:
+        raise ValueError(f"example {ex.id}: negative token id")
+    return ex
 
 
 def read_prepared(path: str) -> list[PreparedExample]:
     return list(read_jsonl(path, _prepared_example))
+
+
+def check_fits(
+    examples: list[PreparedExample],
+    path: str,
+    vocab_size: int,
+    max_context: int,
+    max_question: int | None = None,
+) -> None:
+    """Raise a ValueError naming `path` and the example for the first example
+    that holds a token id not below `vocab_size`, a context longer than
+    `max_context`, or (when given) a question longer than `max_question`."""
+    for ex in examples:
+        top = max(ex.context_ids + ex.question_ids, default=0)
+        if top >= vocab_size:
+            reason = f"token id {top} is not below vocab_size={vocab_size}"
+        elif len(ex.context_ids) > max_context:
+            reason = f"context of {len(ex.context_ids)} exceeds max_context={max_context}"
+        elif max_question is not None and len(ex.question_ids) > max_question:
+            reason = f"question of {len(ex.question_ids)} exceeds max_question={max_question}"
+        else:
+            continue
+        raise ValueError(f"{path}: example {ex.id}: {reason}")

@@ -44,14 +44,15 @@ class TrainingDiverged(ArithmeticError):
     """Loss became non-finite."""
 
 
+# Adam's moment decay rates and the guard added to the denominator.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class TrainConfig:
     lr: float = 5e-5
     batch_size: int = 10
     epochs: int = 20
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -87,8 +88,8 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    """What `train` returns; the best parameters are in `best.ckpt` when a
-    checkpoint directory was given."""
+    """What `train` returns; the best parameters are in `best.ckpt` when an
+    output directory was given."""
 
     best_epoch: int
     best_dev_perplexity: float
@@ -134,16 +135,16 @@ def adam_step(
         m = state.m[name]
         v = state.v[name]
         a, b = np.empty_like(g), np.empty_like(g)
-        m *= cfg.beta1
-        m += np.multiply(1.0 - cfg.beta1, g, out=a)
-        v *= cfg.beta2
-        np.multiply(1.0 - cfg.beta2, g, out=a)
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=a)
+        v *= BETA2
+        np.multiply(1.0 - BETA2, g, out=a)
         v += np.multiply(a, g, out=a)
-        np.divide(m, 1.0 - cfg.beta1**t, out=a)
+        np.divide(m, 1.0 - BETA1**t, out=a)
         np.multiply(cfg.lr, a, out=a)
-        np.divide(v, 1.0 - cfg.beta2**t, out=b)
+        np.divide(v, 1.0 - BETA2**t, out=b)
         np.sqrt(b, out=b)
-        b += cfg.eps
+        b += EPS
         params[name].data -= np.divide(a, b, out=a)
 
 
@@ -191,20 +192,18 @@ def train(
     model: BertPgn,
     split: DatasetSplit,
     cfg: TrainConfig,
-    checkpoint_dir: str | None = None,
-    log_path: str | None = None,
+    out_dir: str | None = None,
 ) -> TrainResult:
     """Run the full loop; the model ends at the last epoch's parameters, and
     the best (dev-perplexity) epoch is picked once the loop is done.
 
-    With checkpoint_dir set, every epoch is saved as epoch_NNN.ckpt and
-    best.ckpt is a byte copy of the winner's file (a save of the initial
-    parameters when no epoch ran), so training holds no copy of the
-    parameters. Without it, nothing is written.
+    With out_dir (an existing directory), every epoch is saved there as
+    epoch_NNN.ckpt, best.ckpt is a byte copy of the winner's file (a save of
+    the initial parameters when no epoch ran) and the log is train_log.csv;
+    no copy of the parameters is held. Without it, nothing is written.
     """
-    if not split.train:
-        raise InvalidDataset("empty training split")
-    eval_set = split.dev if split.dev else split.train
+    if not split.train or not split.dev:
+        raise InvalidDataset("empty training or dev split")
 
     state = AdamState()
     log: list[EpochLog] = []
@@ -237,7 +236,7 @@ def train(
         train_loss = epoch_loss / len(order)
         step_seconds = time.monotonic() - t0
 
-        dev_ppl = perplexity(model, eval_set)
+        dev_ppl = perplexity(model, split.dev)
         if not math.isfinite(dev_ppl):
             raise TrainingDiverged(f"non-finite dev perplexity at epoch {epoch}")
         wall = time.monotonic() - t0
@@ -245,23 +244,20 @@ def train(
             epoch, train_loss, dev_ppl, wall, sum(norms) / len(norms), tokens / step_seconds
         ))
 
-        if checkpoint_dir is not None:
-            save_checkpoint(
-                f"{checkpoint_dir}/epoch_{epoch:03d}.ckpt", model.config, model.params
-            )
+        if out_dir is not None:
+            save_checkpoint(f"{out_dir}/epoch_{epoch:03d}.ckpt", model.config, model.params)
 
     best_epoch = select_best([row.dev_perplexity for row in log]) + 1 if log else 0
     best_ppl = log[best_epoch - 1].dev_perplexity if log else math.inf
-    if checkpoint_dir is not None:
-        best_path = f"{checkpoint_dir}/best.ckpt"
+    if out_dir is not None:
+        best_path = f"{out_dir}/best.ckpt"
         if best_epoch:
-            with open(f"{checkpoint_dir}/epoch_{best_epoch:03d}.ckpt", "rb") as src:
+            with open(f"{out_dir}/epoch_{best_epoch:03d}.ckpt", "rb") as src:
                 with files.replacing(best_path, binary=True) as dst:
                     shutil.copyfileobj(src, dst)
         else:
             save_checkpoint(best_path, model.config, model.params)
-    if log_path is not None:
-        write_log_csv(log, log_path)
+        write_log_csv(log, f"{out_dir}/train_log.csv")
     return TrainResult(best_epoch, best_ppl, log)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 from helpers import interrupt_writes, temp_files
 from sqgen import cli
-from sqgen.corpus import read_prepared
+from sqgen.corpus import read_prepared, split_dataset
 from sqgen.decoding import greedy
 from sqgen.model import BertPgn, save_checkpoint
 from sqgen.qaeval import FLAG_NAMES
@@ -250,6 +250,7 @@ class TestTrain:
         assert manifest["seed"] == 0
         assert manifest["settings"]["model"]["d_model"] == 16
         assert manifest["settings"]["train"]["epochs"] == 2
+        assert (manifest["settings"]["train_examples"], manifest["settings"]["dev_examples"]) == (3, 3)
         assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
 
     def test_epochs_zero_still_writes_initial_best(self, workspace, tmp_path):
@@ -301,6 +302,50 @@ class TestTrain:
         assert rc == cli.EXIT_INPUT
         assert capsys.readouterr().err == "error: d_model and n_heads must be >= 1\n"
         assert not (tmp_path / "run").exists()
+
+    def test_nine_examples_without_dev_hold_one_out(self, workspace, tmp_path, capsys):
+        from sqgen.training import perplexity
+
+        rows = [json.loads(line) for line in read_lines(workspace["prepared"])]
+        data = str(tmp_path / "nine.jsonl")
+        write_jsonl(data, [dict(rows[i % 3], id=f"x{i}") for i in range(9)])
+        run = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.main(
+            ["train", "--data", data, "--vocab", workspace["vocab"], "--out-dir", str(run),
+             "--epochs", "1", "--batch-size", "4", "--seed", "0", *TINY_MODEL_FLAGS]
+        ) == cli.EXIT_OK
+        assert "train_examples 8 dev_examples 1" in capsys.readouterr().err
+        settings = json.loads((run / "train.manifest.json").read_text())["settings"]
+        assert (settings["train_examples"], settings["dev_examples"]) == (8, 1)
+        held_out = split_dataset(read_prepared(data), seed=0).dev
+        model = BertPgn.from_checkpoint(str(run / "epoch_001.ckpt"))
+        log = csv.DictReader(read_lines(str(run / "train_log.csv")))
+        assert float(next(log)["dev_perplexity"]) == perplexity(model, held_out)
+
+    def test_one_example_without_dev_exits_2_naming_the_data(self, workspace, tmp_path, capsys):
+        data = tmp_path / "one.jsonl"
+        data.write_text(read_lines(workspace["prepared"])[0] + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(
+            ["train", "--data", str(data), "--vocab", workspace["vocab"],
+             "--out-dir", str(tmp_path / "run"), "--epochs", "0", *TINY_MODEL_FLAGS]
+        ) == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: ") and "--dev" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["one.jsonl"]
+
+    def test_empty_dev_file_exits_2_naming_it(self, workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(
+            ["train", "--data", workspace["prepared"], "--dev", str(empty), "--vocab",
+             workspace["vocab"], "--out-dir", str(tmp_path / "run"), "--epochs", "1",
+             *TINY_MODEL_FLAGS]
+        ) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {empty}: no examples\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
 
     def test_empty_dataset_exits_2(self, workspace, tmp_path):
         empty = tmp_path / "empty.jsonl"
@@ -872,6 +917,46 @@ def test_malformed_jsonl_row_exits_2_naming_file_and_line(
     assert err.startswith(f"error: {path}:3: ")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
+PREPARED_DEFECTS = {
+    "id_not_below_vocab": lambda row: dict(row, context_ids=[99999] + row["context_ids"][1:]),
+    "negative_id": lambda row: dict(row, context_ids=[-3] + row["context_ids"][1:]),
+    "type_id_2": lambda row: dict(row, type_ids=[2] + row["type_ids"][1:]),
+    "unequal_lengths": lambda row: dict(row, type_ids=row["type_ids"][:-1]),
+    "context_too_long": lambda row: dict(row, context_ids=[5] * 675, type_ids=[0] * 675),
+    "question_too_long": lambda row: dict(row, question_ids=[5] * 17),
+}
+
+
+@pytest.mark.parametrize("role, defect", [
+    (role, defect)
+    for role in ("train --data", "train --dev", "generate --data")
+    for defect in PREPARED_DEFECTS
+    if (role, defect) != ("generate --data", "question_too_long")  # generate reads no question
+])
+def test_prepared_defect_exits_2_naming_file_and_example(
+    role, defect, workspace, tmp_path, capsys
+):
+    rows = [json.loads(line) for line in read_lines(workspace["prepared"])]
+    bad = str(tmp_path / "bad.jsonl")
+    write_jsonl(bad, [rows[0], PREPARED_DEFECTS[defect](dict(rows[1], id="bad_row"))])
+    good, vocab = workspace["prepared"], workspace["vocab"]
+    train = ["--vocab", vocab, "--out-dir", str(tmp_path / "run"), "--epochs", "1",
+             *TINY_MODEL_FLAGS]
+    argv = {
+        "train --data": ["train", "--data", bad, "--dev", good, *train],
+        "train --dev": ["train", "--data", good, "--dev", bad, *train],
+        "generate --data": ["generate", "--checkpoint", workspace["checkpoint"], "--data",
+                            bad, "--vocab", vocab, "--output", str(tmp_path / "gen.jsonl")],
+    }[role]
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.splitlines()[0].startswith(f"error: {bad}")
+    assert "bad_row" in err.splitlines()[0]
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
 
 def test_malformed_scores_row_exits_2_naming_file_and_line(tmp_path, capsys):

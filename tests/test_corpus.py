@@ -1,8 +1,12 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import interrupt_writes, temp_files
 from sqgen import corpus, textproc
@@ -18,6 +22,7 @@ from sqgen.corpus import (
     PreparedExample,
     RawRecord,
     Rejected,
+    TooFewToSplit,
     bracket_answers,
     clean_article,
     dataset_stats,
@@ -209,7 +214,6 @@ class TestSplitDataset:
         split = split_dataset(self._examples(10), ratio=0.9, seed=1)
         assert len(split.train) == 9
         assert len(split.dev) == 1
-        assert split.seed == 1
 
     def test_partition(self):
         examples = self._examples(23)
@@ -230,6 +234,29 @@ class TestSplitDataset:
         for ratio in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(InvalidRatio):
                 split_dataset(self._examples(5), ratio=ratio)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_examples_rejected(self, n):
+        with pytest.raises(TooFewToSplit):
+            split_dataset(self._examples(n))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        ratio=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32),
+    )
+    def test_both_sides_hold_examples(self, n, ratio, seed):
+        examples = self._examples(n)
+        split = split_dataset(examples, ratio=ratio, seed=seed)
+        assert split.train and split.dev
+        assert sorted(e.id for e in split.train + split.dev) == sorted(e.id for e in examples)
+        assert split_dataset(examples, ratio=ratio, seed=seed) == split
+        if ratio * n <= n - 1:  # where ceil(ratio * N) already held one out
+            shuffled = list(examples)
+            random.Random(seed).shuffle(shuffled)
+            k = math.ceil(ratio * n)
+            assert (split.train, split.dev) == (shuffled[:k], shuffled[k:])
 
 
 class TestDatasetStats:

@@ -95,9 +95,10 @@ class TestPinnedCheckpoint:
     Adam steps, as the commit before the in-place Adam step computed it."""
 
     def test_trained_checkpoint_bytes_are_pinned(self, tmp_path):
-        split = DatasetSplit(train=copy_task(6, vocab_size=TOY["vocab_size"], seed=3), dev=[])
+        examples = copy_task(6, vocab_size=TOY["vocab_size"], seed=3)
+        split = DatasetSplit(train=examples, dev=examples)
         cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=2, seed=1)
-        train(toy_model(seed=4), split, cfg, checkpoint_dir=str(tmp_path))
+        train(toy_model(seed=4), split, cfg, out_dir=str(tmp_path))
         digest = hashlib.sha256((tmp_path / "epoch_002.ckpt").read_bytes()).hexdigest()
         assert digest == "3ea8a2f42af1a648cd740b6854091cf5112a6ab60a20e2f8a9f9ce3f0a759113"
 
@@ -178,11 +179,11 @@ class TestSelectBest:
 class TestTrain:
     def _tiny_split(self):
         examples = copy_task(4, vocab_size=TOY["vocab_size"], min_len=5, max_len=6, seed=0)
-        return DatasetSplit(train=examples, dev=[])
+        return DatasetSplit(train=examples, dev=examples)
 
     def test_epochs_zero_returns_initial_model(self, tmp_path):
         m = toy_model(seed=1)
-        result = train(m, self._tiny_split(), TrainConfig(epochs=0), checkpoint_dir=str(tmp_path))
+        result = train(m, self._tiny_split(), TrainConfig(epochs=0), out_dir=str(tmp_path))
         assert result.log == []
         assert result.best_epoch == 0
         assert os.path.exists(tmp_path / "best.ckpt")
@@ -211,15 +212,14 @@ class TestTrain:
 
     def test_checkpoints_and_log_written(self, tmp_path):
         m = toy_model(seed=1)
-        log_path = str(tmp_path / "log.csv")
         result = train(
             m, self._tiny_split(), TrainConfig(epochs=2, batch_size=2, lr=1e-3),
-            checkpoint_dir=str(tmp_path), log_path=log_path,
+            out_dir=str(tmp_path),
         )
         assert os.path.exists(tmp_path / "epoch_001.ckpt")
         assert os.path.exists(tmp_path / "epoch_002.ckpt")
         assert os.path.exists(tmp_path / "best.ckpt")
-        lines = open(log_path).read().splitlines()
+        lines = open(tmp_path / "train_log.csv").read().splitlines()
         assert lines[0] == "epoch,train_loss,dev_perplexity,wall_seconds,grad_norm,tokens_per_s"
         assert len(lines) == 3
         assert len(result.log) == 2
@@ -259,13 +259,20 @@ class TestTrain:
         with pytest.raises(InvalidDataset):
             train(toy_model(), DatasetSplit([], []), TrainConfig(epochs=1))
 
+    def test_empty_dev_split_rejected(self, tmp_path):
+        # the training examples are never scored in place of a dev set
+        split = DatasetSplit(train=self._tiny_split().train, dev=[])
+        with pytest.raises(InvalidDataset):
+            train(toy_model(), split, TrainConfig(epochs=0), out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     def test_divergence_detected(self):
         m = toy_model(seed=1)
         m.params["enc.word_emb"].data[:] = np.nan
         with pytest.raises(TrainingDiverged):
             train(m, self._tiny_split(), TrainConfig(epochs=1, batch_size=2))
 
-    # With a checkpoint directory, best.ckpt is a byte copy of the best
+    # With an output directory, best.ckpt is a byte copy of the best
     # epoch's file; no copy of the parameters is held while training.
 
     def test_best_epoch_before_the_last_is_copied(self, tmp_path, monkeypatch):
@@ -275,7 +282,7 @@ class TestTrain:
 
         cfg = TrainConfig(epochs=3, batch_size=2, lr=1e-3)
         dev_perplexities(5.0, 3.0, 4.0)
-        result = train(toy_model(seed=1), self._tiny_split(), cfg, checkpoint_dir=str(tmp_path))
+        result = train(toy_model(seed=1), self._tiny_split(), cfg, out_dir=str(tmp_path))
         assert result.best_epoch == 2
         best = (tmp_path / "best.ckpt").read_bytes()
         assert best == (tmp_path / "epoch_002.ckpt").read_bytes()
@@ -284,19 +291,19 @@ class TestTrain:
     def test_epochs_zero_saves_the_initial_params(self, tmp_path):
         m = toy_model(seed=1)
         save_checkpoint(str(tmp_path / "initial.ckpt"), m.config, m.params)
-        train(m, self._tiny_split(), TrainConfig(epochs=0), checkpoint_dir=str(tmp_path))
+        train(m, self._tiny_split(), TrainConfig(epochs=0), out_dir=str(tmp_path))
         assert (tmp_path / "best.ckpt").read_bytes() == (tmp_path / "initial.ckpt").read_bytes()
-        assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "initial.ckpt"]
+        assert sorted(os.listdir(tmp_path)) == ["best.ckpt", "initial.ckpt", "train_log.csv"]
 
     def test_peak_memory_holds_no_copy_of_the_params(self, tmp_path):
         examples = copy_task(8, vocab_size=400)
 
-        def peak(checkpoint_dir):
+        def peak(out_dir):
             m = toy_model(seed=1, vocab_size=400)
             cfg = TrainConfig(lr=1e-3, batch_size=4, epochs=2)
             tracemalloc.start()
             try:
-                train(m, DatasetSplit(train=examples, dev=[]), cfg, checkpoint_dir=checkpoint_dir)
+                train(m, DatasetSplit(train=examples, dev=examples), cfg, out_dir=out_dir)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -323,7 +330,7 @@ class TestPerExampleBackward:
         norm = math.sqrt(sum(float((grads[k] ** 2).sum()) for k in sorted(grads)))
 
         m = toy_model(seed=2)
-        row = train(m, DatasetSplit(train=examples, dev=[]), cfg).log[0]
+        row = train(m, DatasetSplit(train=examples, dev=examples), cfg).log[0]
         for name, p in m.params.items():
             assert p.data.tobytes() == oracle.params[name].data.tobytes(), name
         assert row.train_loss == batch_loss * len(examples) / len(examples)
@@ -338,7 +345,7 @@ class TestPerExampleBackward:
             cfg = TrainConfig(lr=1e-3, batch_size=batch_size, epochs=1)
             tracemalloc.start()
             try:
-                train(m, DatasetSplit(train=examples, dev=[]), cfg)
+                train(m, DatasetSplit(train=examples, dev=examples), cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
