@@ -231,6 +231,13 @@ test ! -e bad_prepared.jsonl
 leftover=$(find . -name '.*.tmp')
 [ -z "$leftover" ] || { echo "temporary files left: $leftover"; exit 1; }
 
+rc=0; sqgen train --data prepared.jsonl --dev prepared.jsonl --vocab vocab.txt \
+    --out-dir run_neg --epochs 1 --seed -1 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for --seed -1, got $rc"; exit 1; }
+grep -q '^error: --seed must be >= 0' bad.err
+if grep -q Traceback bad.err; then echo "traceback for --seed -1"; exit 1; fi
+test ! -e run_neg
+
 rc=0; sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
     --vocab vocab.txt --output gen_nan.jsonl --mode nucleus --temperature nan \
     2> bad.err || rc=$?

@@ -11,7 +11,8 @@ one entry makes the flag of every subcommand taking it and types the key of
 the same name in a `--config` JSON file, which must hold a number the type
 keeps unchanged; a flag wins over the file, and the file's keys that the
 subcommand does not take are ignored. A setting given neither way keeps the
-default of the config dataclass or function it feeds.
+default of the config dataclass or function it feeds. A negative seed is
+refused whichever way it is given.
 
 Only the pure-Python modules every command shares are imported at module
 level; each command imports the rest in its own body. Importing NumPy and the
@@ -114,6 +115,13 @@ SETTINGS = {
 }
 
 
+def _check_seed(seed: int | None, where: str) -> None:
+    """Refuse a negative seed, which NumPy seeds no generator from, naming
+    the flag or the config key it came from."""
+    if seed is not None and seed < 0:
+        raise ValueError(f"{where} must be >= 0, got {seed}")
+
+
 def _load_config_file(path: str) -> dict:
     with open(path, encoding="utf-8") as f:
         try:
@@ -126,8 +134,10 @@ def _load_config_file(path: str) -> dict:
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Check every `--config` value of a setting this command takes: a JSON
-    number its type keeps unchanged. Fill each such setting no flag gave."""
+    """Check the `--seed` flag, and every `--config` value of a setting this
+    command takes: a JSON number its type keeps unchanged, and no negative
+    seed. Fill each such setting no flag gave."""
+    _check_seed(getattr(args, "seed", None), "--seed")
     if not args.config:
         return
     for key, value in _load_config_file(args.config).items():
@@ -142,6 +152,8 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise ValueError(
                 f"{args.config}: {key}: {json.dumps(value)} is not a JSON {kind.__name__}"
             )
+        if key == "seed":
+            _check_seed(typed, f"{args.config}: seed")
         if getattr(args, key) is None:
             setattr(args, key, typed)
 

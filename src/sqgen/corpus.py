@@ -161,6 +161,8 @@ def prepare_example(
         return Rejected(record.id, "context_too_long")
 
     question_ids = textproc.encode(record.question, vocab)
+    if not question_ids:
+        return Rejected(record.id, "empty_question")
     if len(question_ids) > max_question:
         return Rejected(record.id, "question_too_long")
 
@@ -302,14 +304,27 @@ def write_prepared(examples: Iterable[PreparedExample], path: str) -> None:
     files.write_jsonl(path, (vars(ex) for ex in examples))
 
 
+def _int_list(obj: dict, key: str) -> list[int]:
+    """obj[key], which must be a list of JSON integers (not floats or bools)."""
+    values = obj[key]
+    if not isinstance(values, list) or any(type(i) is not int for i in values):
+        raise TypeError(f"example {obj['id']}: field {key!r} must be a list of integers")
+    return values
+
+
 def _prepared_example(obj: dict) -> PreparedExample:
     ex = PreparedExample(
         id=str(obj["id"]),
-        context_ids=[int(i) for i in obj["context_ids"]],
-        type_ids=[int(i) for i in obj["type_ids"]],
-        question_ids=[int(i) for i in obj["question_ids"]],
+        context_ids=_int_list(obj, "context_ids"),
+        type_ids=_int_list(obj, "type_ids"),
+        question_ids=_int_list(obj, "question_ids"),
         answer_kind=obj["answer_kind"],
     )
+    if ex.answer_kind not in (SHORT_ANSWER, LONG_ANSWER):
+        raise ValueError(
+            f"example {ex.id}: answer_kind must be {SHORT_ANSWER!r} or {LONG_ANSWER!r}, "
+            f"got {json.dumps(ex.answer_kind)}"
+        )
     if len(ex.type_ids) != len(ex.context_ids):
         raise ValueError(
             f"example {ex.id}: {len(ex.type_ids)} type_ids for {len(ex.context_ids)} context_ids"
@@ -333,14 +348,20 @@ def check_fits(
     max_question: int | None = None,
 ) -> None:
     """Raise a ValueError naming `path` and the example for the first example
-    that holds a token id not below `vocab_size`, a context longer than
-    `max_context`, or (when given) a question longer than `max_question`."""
+    that holds a token id not below `vocab_size`, an empty context or one
+    longer than `max_context`, or, when `max_question` is given (training
+    needs a question, generation does not), an empty question or one longer
+    than `max_question`."""
     for ex in examples:
         top = max(ex.context_ids + ex.question_ids, default=0)
         if top >= vocab_size:
             reason = f"token id {top} is not below vocab_size={vocab_size}"
+        elif not ex.context_ids:
+            reason = "empty context"
         elif len(ex.context_ids) > max_context:
             reason = f"context of {len(ex.context_ids)} exceeds max_context={max_context}"
+        elif max_question is not None and not ex.question_ids:
+            reason = "empty question"
         elif max_question is not None and len(ex.question_ids) > max_question:
             reason = f"question of {len(ex.question_ids)} exceeds max_question={max_question}"
         else:

@@ -285,17 +285,42 @@ _GELU_A = 0.044715
 
 
 def gelu(a) -> Tensor:
-    """tanh-form GELU, smooth everywhere (finite differences stay honest)."""
+    """tanh-form GELU, smooth everywhere (finite differences stay honest).
+
+    The forward has the bytes of `0.5 * x * (1.0 + tanh(C * (x + A * (x * x * x))))`,
+    worked out op for op in arrays of its own. The cube is two multiplies, not
+    `x**3`: NumPy's power is slow (a libm `pow` for negative inputs) and its
+    bytes depend on the SIMD path NumPy picks on the host, while two IEEE
+    multiplies give the same bytes everywhere."""
     a = _as_tensor(a)
     x = a.data
-    u = _GELU_C * (x + _GELU_A * x**3)
-    t = np.tanh(u)
-    out_data = 0.5 * x * (1.0 + t)
+    t = np.multiply(x, x, out=np.empty_like(x))
+    t *= x
+    t *= _GELU_A
+    np.add(x, t, out=t)
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = np.multiply(0.5, x, out=np.empty_like(x))
+    out_data *= 1.0 + t
 
     def backward(g):
+        # g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du) with
+        # du = C * (1.0 + 3.0 * A * x**2), op for op, in three arrays of its own
         if a.requires_grad:
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-            a._accumulate(g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du))
+            du = np.square(x, out=np.empty_like(x))
+            du *= 3.0 * _GELU_A
+            du += 1.0
+            du *= _GELU_C
+            dx = np.square(t, out=np.empty_like(t))
+            np.subtract(1.0, dx, out=dx)
+            slope = np.multiply(0.5, x, out=np.empty_like(x))
+            slope *= dx
+            slope *= du
+            np.add(1.0, t, out=dx)
+            dx *= 0.5
+            dx += slope
+            dx *= g
+            a._accumulate(dx, own=True)
 
     return Tensor._make(out_data, (a,), backward)
 

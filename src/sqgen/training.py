@@ -124,9 +124,12 @@ def adam_step(
     """One bias-corrected Adam update, in place. Each parameter's update is
     lr * m_hat / (sqrt(v_hat) + eps), worked out in two scratch arrays with
     the operations and operand order of that expression, so the bytes are
-    those of the plain NumPy arithmetic."""
+    those of the plain NumPy arithmetic. The step allocates the scratch pair
+    once, at the largest gradient's size, and views it per parameter."""
     state.step += 1
     t = state.step
+    size = max((grads[name].size for name in params), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name in sorted(params):
         g = grads[name]
         if name not in state.m:
@@ -134,7 +137,8 @@ def adam_step(
             state.v[name] = np.zeros_like(g)
         m = state.m[name]
         v = state.v[name]
-        a, b = np.empty_like(g), np.empty_like(g)
+        a = scratch_a[: g.size].reshape(g.shape)
+        b = scratch_b[: g.size].reshape(g.shape)
         m *= BETA1
         m += np.multiply(1.0 - BETA1, g, out=a)
         v *= BETA2

@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from sqgen import numerics as nm
-from sqgen.training import nll_loss
+from sqgen.training import BETA1, BETA2, EPS, nll_loss
 
 
 # -- BLEU (corpus-level, modified n-gram precision, brevity penalty) ----------
@@ -285,7 +285,42 @@ def composed_linear(x, w, b):
     return nm.add(nm.matmul(x, w), b)
 
 
+def composed_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """tanh-form GELU of x and its input gradient for the output gradient g,
+    each as one out-of-place NumPy expression, the cube as two multiplies."""
+    c, a = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(c * (x + a * (x * x * x)))
+    du = c * (1.0 + 3.0 * a * x**2)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du)
+
+
 # -- training step ---------------------------------------------------------------
+
+
+def per_parameter_adam_step(params, grads, state, cfg) -> None:
+    """One bias-corrected Adam update, in place, with a fresh pair of scratch
+    arrays for each parameter."""
+    state.step += 1
+    t = state.step
+    for name in sorted(params):
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(g)
+            state.v[name] = np.zeros_like(g)
+        m = state.m[name]
+        v = state.v[name]
+        a, b = np.empty_like(g), np.empty_like(g)
+        m *= BETA1
+        m += np.multiply(1.0 - BETA1, g, out=a)
+        v *= BETA2
+        np.multiply(1.0 - BETA2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, 1.0 - BETA1**t, out=a)
+        np.multiply(cfg.lr, a, out=a)
+        np.divide(v, 1.0 - BETA2**t, out=b)
+        np.sqrt(b, out=b)
+        b += EPS
+        params[name].data -= np.divide(a, b, out=a)
 
 
 def summed_graph_step(model, batch) -> tuple[dict[str, np.ndarray], float]:

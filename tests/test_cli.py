@@ -196,6 +196,20 @@ class TestPrepare:
         assert [ex.id for ex in prepared] == ["r1", "r2", "r3"]
         assert all(ex.answer_kind == "short" for ex in prepared)
 
+    def test_drops_an_empty_question_and_reports_it(self, workspace, tmp_path, capsys):
+        raw = str(tmp_path / "raw.jsonl")
+        write_jsonl(raw, [NQ_RECORDS[0], dict(NQ_RECORDS[1], id="blank", question="  ")])
+        out = str(tmp_path / "prep.jsonl")
+        capsys.readouterr()
+        assert cli.main(
+            ["prepare", "--kind", "nq", "--input", raw, "--output", out,
+             "--vocab", workspace["vocab"]]
+        ) == cli.EXIT_OK
+        assert "kept 1 / 2" in capsys.readouterr().err
+        assert [ex.id for ex in read_prepared(out)] == ["r1"]
+        manifest = json.loads(open(out + ".manifest.json", encoding="utf-8").read())
+        assert manifest["settings"]["rejected"] == {"empty_question": 1}
+
     def test_manifest_counts(self, workspace):
         manifest = json.loads(
             open(workspace["prepared"] + ".manifest.json", encoding="utf-8").read()
@@ -926,14 +940,23 @@ PREPARED_DEFECTS = {
     "unequal_lengths": lambda row: dict(row, type_ids=row["type_ids"][:-1]),
     "context_too_long": lambda row: dict(row, context_ids=[5] * 675, type_ids=[0] * 675),
     "question_too_long": lambda row: dict(row, question_ids=[5] * 17),
+    "empty_context": lambda row: dict(row, context_ids=[], type_ids=[]),
+    "empty_question": lambda row: dict(row, question_ids=[]),
+    "float_id": lambda row: dict(row, context_ids=[5.7] + row["context_ids"][1:]),
+    "whole_float_id": lambda row: dict(row, question_ids=[5.0] + row["question_ids"][1:]),
+    "bool_type_id": lambda row: dict(row, type_ids=[True] + row["type_ids"][1:]),
+    "unknown_answer_kind": lambda row: dict(row, answer_kind="medium"),
+    "numeric_answer_kind": lambda row: dict(row, answer_kind=3),
 }
+# generate reads no question, so these do not stop it
+QUESTION_DEFECTS = ("question_too_long", "empty_question")
 
 
 @pytest.mark.parametrize("role, defect", [
     (role, defect)
     for role in ("train --data", "train --dev", "generate --data")
     for defect in PREPARED_DEFECTS
-    if (role, defect) != ("generate --data", "question_too_long")  # generate reads no question
+    if role != "generate --data" or defect not in QUESTION_DEFECTS
 ])
 def test_prepared_defect_exits_2_naming_file_and_example(
     role, defect, workspace, tmp_path, capsys
@@ -1146,3 +1169,25 @@ def test_config_numbers_take_the_setting_type(workspace, tmp_path):
     train = json.loads((out_dir / "train.manifest.json").read_text())["settings"]["train"]
     assert (train["epochs"], train["lr"], train["batch_size"]) == (0, 1.0, 2)
     assert isinstance(train["epochs"], int) and isinstance(train["lr"], float)
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+@pytest.mark.parametrize("mode", ["train", "beam", "nucleus", "greedy"])
+def test_negative_seed_exits_2_naming_it(mode, given, workspace, tmp_path, capsys):
+    argv, _ = command_argv("train" if mode == "train" else "generate", workspace, tmp_path)
+    if mode != "train":
+        argv += ["--mode", mode]
+    cfg = tmp_path / "cfg.json"
+    if given == "flag":
+        argv += ["--seed", "-1"]
+        expected = "error: --seed must be >= 0, got -1\n"
+    else:
+        cfg.write_text(json.dumps({"seed": -1}), encoding="utf-8")
+        argv = ["--config", str(cfg), *argv]
+        expected = f"error: {cfg}: seed must be >= 0, got -1\n"
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", expected)
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before  # no output, run dir or .*.tmp

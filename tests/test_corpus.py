@@ -158,6 +158,11 @@ class TestPrepareExample:
         out = prepare_example(record(question=" ".join(["a"] * 51)), tiny_vocab)
         assert isinstance(out, Rejected) and out.reason == "question_too_long"
 
+    @pytest.mark.parametrize("question", ["", "   "])
+    def test_empty_question_rejected(self, tiny_vocab, question):
+        out = prepare_example(record(question=question), tiny_vocab)
+        assert out == Rejected("r1", "empty_question")
+
     def test_span_with_no_tokens_rejected(self, tiny_vocab):
         rec = record(context="  paris", short_spans=[(0, 1)])  # span over a space
         out = prepare_example(rec, tiny_vocab)
@@ -201,6 +206,28 @@ class TestPrepareNews:
     def test_empty_after_cleaning_rejected(self, tiny_vocab):
         out = prepare_news("PARIS (CNN) -- ", tiny_vocab, article_id="n")
         assert isinstance(out, Rejected) and out.reason == "empty"
+
+
+class TestCheckFits:
+    @staticmethod
+    def fits(max_question=None, **overrides):
+        fields = dict(id="e", context_ids=[4, 5], type_ids=[0, 1], question_ids=[6],
+                      answer_kind=SHORT_ANSWER)
+        ok = PreparedExample(**fields)
+        corpus.check_fits([ok, PreparedExample(**dict(fields, **overrides))], "d.jsonl",
+                          vocab_size=10, max_context=8, max_question=max_question)
+
+    @pytest.mark.parametrize("max_question", [None, 4])
+    def test_empty_context_rejected(self, max_question):
+        with pytest.raises(ValueError, match=r"^d\.jsonl: example e: empty context$"):
+            self.fits(max_question, context_ids=[], type_ids=[])
+
+    def test_empty_question_rejected_when_training(self):
+        with pytest.raises(ValueError, match=r"^d\.jsonl: example e: empty question$"):
+            self.fits(4, question_ids=[])
+
+    def test_empty_question_kept_when_generating(self):
+        self.fits(None, question_ids=[])
 
 
 class TestSplitDataset:
@@ -299,6 +326,26 @@ class TestJsonlIo:
             corpus.write_prepared([new, new], str(path))
         assert path.read_bytes() == before
         assert temp_files(tmp_path) == []
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("context_ids", [4, 5.7], "field 'context_ids' must be a list of integers"),
+        ("context_ids", [4, 5.0], "field 'context_ids' must be a list of integers"),
+        ("question_ids", [True], "field 'question_ids' must be a list of integers"),
+        ("type_ids", [0, False], "field 'type_ids' must be a list of integers"),
+        ("type_ids", "01", "field 'type_ids' must be a list of integers"),
+        ("answer_kind", "medium", "answer_kind must be 'short' or 'long', got \"medium\""),
+        ("answer_kind", 1, "answer_kind must be 'short' or 'long', got 1"),
+    ])
+    def test_prepared_row_takes_only_integers_and_known_kinds(
+        self, tmp_path, field, value, message
+    ):
+        good = {"id": "a", "context_ids": [4, 5], "type_ids": [0, 1],
+                "question_ids": [6], "answer_kind": SHORT_ANSWER}
+        path = tmp_path / "prep.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{field: value})) + "\n")
+        with pytest.raises(ValueError) as info:
+            corpus.read_prepared(str(path))
+        assert str(info.value) == f"{path}:2: example a: {message}"
 
     def test_read_raw_records(self, tmp_path):
         rows = [

@@ -2,9 +2,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
-from oracles import composed_attention_weights, composed_linear, fd_entry, rel_err
+from oracles import (
+    composed_attention_weights,
+    composed_gelu,
+    composed_linear,
+    fd_entry,
+    rel_err,
+)
 from sqgen import numerics as nm
 from sqgen.numerics import (
     ConfigError,
@@ -362,6 +371,45 @@ class TestBackward:
         y.backward()
         y.backward()
         assert x.grad is None
+
+
+GELU_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e-8, -1e-8, 1e3, -1e3]
+
+
+class TestGeluBytes:
+    """gelu against the out-of-place expressions it works out in place: the
+    same bytes forward and in the input's gradient, with neither x nor the
+    gradient it is handed written."""
+
+    def _check(self, x, g):
+        x.setflags(write=False)
+        g.setflags(write=False)  # so a write into either raises
+        leaf = Tensor(x, requires_grad=True)
+        out = nm.gelu(leaf)
+        out._backward(g)
+        want_out, want_grad = composed_gelu(x, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert leaf.grad.tobytes() == want_grad.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        drawn=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(max_dims=1, max_side=32),
+            elements=st.one_of(st.sampled_from(GELU_EDGES), st.floats(-1e3, 1e3)),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from([1e-6, 1.0, 3.0, 1e3]),
+    )
+    def test_bytes_equal_the_composition(self, drawn, seed, scale):
+        # about 0.3% of standard-normal entries tell a two-multiply cube from
+        # x**3, so each example carries a thousand of them
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([drawn, GELU_EDGES, scale * rng.standard_normal(1000)])
+        self._check(x, rng.standard_normal(x.size))
+
+    def test_a_0_d_input(self):
+        self._check(np.array(-1.5), np.array(0.25))
 
 
 class TestGradientAliasing:

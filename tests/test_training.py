@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import TOY, copy_task, params_digest, toy_model
-from oracles import summed_graph_step
+from oracles import per_parameter_adam_step, summed_graph_step
 from sqgen import numerics as nm
 from sqgen import training
 from sqgen.corpus import DatasetSplit, PreparedExample
@@ -145,6 +145,30 @@ class TestAdamStep:
 
         a, b = run(), run()
         assert all(np.array_equal(a[k], b[k]) for k in a)
+
+
+    def test_bytes_equal_a_fresh_scratch_pair_per_parameter(self):
+        # the largest parameter sorts neither first nor last, so the shared
+        # scratch is both wider and narrower than the parameters around it
+        shapes = {"a": (3,), "b": (2, 3, 4), "c": (40, 30), "d": (), "e": (5, 1)}
+        rng = np.random.default_rng(11)
+        start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        cfg = TrainConfig(lr=1e-2)
+
+        def run(step):
+            params = {k: nm.Tensor(v.copy(), requires_grad=True) for k, v in start.items()}
+            state = AdamState()
+            for i in range(3):
+                step(params, {k: np.cos(p.data * (i + 2)) for k, p in params.items()}, state, cfg)
+            return params, state
+
+        params, state = run(adam_step)
+        want_params, want_state = run(per_parameter_adam_step)
+        for name in shapes:
+            assert params[name].data.tobytes() == want_params[name].data.tobytes(), name
+            assert state.m[name].tobytes() == want_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == want_state.v[name].tobytes(), name
+        assert state.step == want_state.step == 3
 
 
 class TestPerplexity:
