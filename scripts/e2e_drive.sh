@@ -2,10 +2,10 @@
 # End-to-end smoke drive of the `sqgen` CLI (installed, or from this checkout).
 #
 # Runs the whole pipeline on a tiny synthetic corpus in a scratch directory:
-# build-vocab -> prepare (nq + news) -> train (with a dev file, and on a
-# seeded split) -> generate (beam, nucleus, greedy, and beam again through
-# --config) -> eval gen / eval qa / eval correlate, asserting exit codes and
-# artifacts.
+# build-vocab -> prepare (nq + news) -> train (with a dev file, on a seeded
+# split, and without the decoder LM stack) -> generate (beam, nucleus, greedy,
+# greedy from the no-LM model, and beam again through --config) -> eval gen /
+# eval qa / eval correlate, asserting exit codes and artifacts.
 # Finishes in well under a minute on a laptop.
 set -eu
 
@@ -98,6 +98,23 @@ sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
 [ "$(wc -l < gen_beam.jsonl)" -eq 3 ]
 [ "$(wc -l < gen_nucleus.jsonl)" -eq 3 ]
 [ "$(wc -l < gen_greedy.jsonl)" -eq 3 ]
+
+echo "== train and generate the no-LM ablation (--decoder-lm-layers 0)"
+sqgen train --data prepared.jsonl --dev prepared.jsonl --vocab vocab.txt \
+    --out-dir run_nolm --epochs 1 --batch-size 2 --seed 0 \
+    --d-model 16 --n-heads 2 --encoder-layers 1 --decoder-lm-layers 0 \
+    --cross-layers 1 --ffn-dim 32 --max-context 64 --max-question 16
+python3 -c '
+import json
+manifest = json.loads(open("run_nolm/best.ckpt", "rb").readline())
+assert manifest["config"]["decoder_lm_layers"] == 0, manifest["config"]
+assert "use_decoder_lm" not in manifest["config"], manifest["config"]
+lm = [a["name"] for a in manifest["arrays"] if a["name"].startswith("lm.")]
+assert not lm, lm
+'
+sqgen generate --checkpoint run_nolm/best.ckpt --data prepared.jsonl \
+    --vocab vocab.txt --output gen_nolm.jsonl --max-question 8 --mode greedy
+[ "$(wc -l < gen_nolm.jsonl)" -eq 3 ]
 
 echo "== generate through --config (a typed file, then a string value)"
 echo '{"max_question": 8, "beam": 2, "lr": 0.5}' > settings.json
@@ -195,7 +212,7 @@ echo "== every manifest records a numeric wall time and peak RSS"
 python3 -c '
 import glob, json
 paths = sorted(glob.glob("**/*.manifest.json", recursive=True))
-assert len(paths) == 12, paths
+assert len(paths) == 14, paths
 for added in ("run_split/train.manifest.json", "gen_greedy.jsonl.manifest.json",
               "news_prepared.jsonl.manifest.json"):
     assert added in paths, (added, paths)
@@ -246,6 +263,15 @@ grep -q '^error: temperature must be >= 0' bad.err
 if grep -q Traceback bad.err; then echo "traceback for --temperature nan"; exit 1; fi
 test ! -e gen_nan.jsonl
 test ! -e gen_nan.jsonl.manifest.json
+
+# run/best.ckpt has max_question 16, so a decode of up to 17 tokens fits.
+rc=0; sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
+    --vocab vocab.txt --output gen_long.jsonl --max-question 18 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for --max-question 18, got $rc"; exit 1; }
+grep -q '^error: --max-question 18 exceeds max_question+1=17 of checkpoint run/best.ckpt$' bad.err
+if grep -q Traceback bad.err; then echo "traceback for --max-question 18"; exit 1; fi
+test ! -e gen_long.jsonl
+test ! -e gen_long.jsonl.manifest.json
 
 python3 - <<'EOF'
 import json

@@ -136,8 +136,10 @@ def _load_config_file(path: str) -> dict:
 def _apply_config(args: argparse.Namespace) -> None:
     """Check the `--seed` flag, and every `--config` value of a setting this
     command takes: a JSON number its type keeps unchanged, and no negative
-    seed. Fill each such setting no flag gave."""
+    seed. Fill each such setting no flag gave, and map its name in
+    `args.from_config` to how a message names it."""
     _check_seed(getattr(args, "seed", None), "--seed")
+    args.from_config = {}
     if not args.config:
         return
     for key, value in _load_config_file(args.config).items():
@@ -156,6 +158,7 @@ def _apply_config(args: argparse.Namespace) -> None:
             _check_seed(typed, f"{args.config}: seed")
         if getattr(args, key) is None:
             setattr(args, key, typed)
+            args.from_config[key] = f"{args.config}: {key}"
 
 
 def _setting(args: argparse.Namespace, name: str, default):
@@ -247,7 +250,6 @@ def _model_config_from_args(args: argparse.Namespace, vocab_size: int) -> ModelC
         **_given(args, "d_model", "n_heads", "encoder_layers", "decoder_lm_layers",
                  "cross_layers", "ffn_dim", "max_context", "max_question"),
         use_pointer=not args.no_pointer,
-        use_decoder_lm=not args.no_decoder_lm,
         use_type_ids=not args.no_type_ids,
     )
 
@@ -308,6 +310,11 @@ def cmd_generate(args: argparse.Namespace) -> Done:
     examples = corpus.read_prepared(args.data)
     corpus.check_fits(examples, args.data, len(vocab), model.config.max_context)
     max_len = _setting(args, "max_question", model.config.max_question)
+    if max_len > model.config.max_question + 1:  # the decoder's position table
+        raise ValueError(
+            f"{args.from_config.get('max_question', '--max-question')} {max_len} exceeds "
+            f"max_question+1={model.config.max_question + 1} of checkpoint {args.checkpoint}"
+        )
     beam = _setting(args, "beam", decoding.DEFAULT_BEAM)
     top_p = _setting(args, "top_p", decoding.DEFAULT_TOP_P)
     temperature = _setting(args, "temperature", decoding.DEFAULT_TEMPERATURE)
@@ -601,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
         "max_question",
     )
     p.add_argument("--no-pointer", action="store_true")
-    p.add_argument("--no-decoder-lm", dest="no_decoder_lm", action="store_true")
     p.add_argument("--no-type-ids", dest="no_type_ids", action="store_true")
     p.set_defaults(func=cmd_train)
 

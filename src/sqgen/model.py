@@ -69,7 +69,6 @@ class ModelConfig:
     max_context: int = 500
     max_question: int = 50
     use_pointer: bool = True
-    use_decoder_lm: bool = True
     use_type_ids: bool = True
 
     def __post_init__(self) -> None:
@@ -193,9 +192,8 @@ def _build_params(config: ModelConfig, seed: int | None) -> ParamBuilder:
 
     p.w("dec.word_emb", (config.vocab_size, d))
     p.w("dec.pos_emb", (config.max_question + 1, d))
-    if config.use_decoder_lm:
-        for i in range(config.decoder_lm_layers):
-            p.block(f"lm.b{i}")
+    for i in range(config.decoder_lm_layers):
+        p.block(f"lm.b{i}")
 
     for i in range(config.cross_layers):
         p.attn(f"cross.b{i}.self")
@@ -329,12 +327,9 @@ class BertPgn:
             self.params["dec.pos_emb"], np.arange(p0, p0 + t)
         )
         mask = nm.causal_mask(t, p0)
-        if self.config.use_decoder_lm:
-            for i in range(self.config.decoder_lm_layers):
-                y, kv = _block(
-                    self.params, f"lm.b{i}", y, n_heads, mask, next(layer_past, None)
-                )
-                present.append(kv)
+        for i in range(self.config.decoder_lm_layers):
+            y, kv = _block(self.params, f"lm.b{i}", y, n_heads, mask, next(layer_past, None))
+            present.append(kv)
 
         x = y
         for i in range(self.config.cross_layers):
@@ -491,11 +486,27 @@ def _parse_manifest(
         raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    version = manifest.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"{path}: version {json.dumps(version)} is not {CHECKPOINT_VERSION}"
+        )
     missing = [key for key in ("config", "arrays") if key not in manifest]
     if missing:
         raise CheckpointError(f"{path}: manifest lacks {' and '.join(missing)}")
+    fields = manifest["config"]
+    if isinstance(fields, dict) and "use_decoder_lm" in fields:
+        # Older files carry this switch beside decoder_lm_layers; false meant
+        # no LM stack, and such files hold no lm.* arrays.
+        use_lm = fields.pop("use_decoder_lm")
+        if type(use_lm) is not bool:
+            raise CheckpointError(
+                f"{path}: use_decoder_lm {json.dumps(use_lm)} is not a JSON boolean"
+            )
+        if not use_lm:
+            fields["decoder_lm_layers"] = 0
     try:
-        config = ModelConfig(**manifest["config"])
+        config = ModelConfig(**fields)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: config does not fit the expected model: {exc}") from exc
     arrays = manifest["arrays"]

@@ -245,17 +245,6 @@ def log(a) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * out_data)
-
-    return Tensor._make(out_data, (a,), backward)
-
-
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
@@ -265,17 +254,6 @@ def sigmoid(a) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * out_data * (1.0 - out_data))
-
-    return Tensor._make(out_data, (a,), backward)
-
-
-def tanh(a) -> Tensor:
-    a = _as_tensor(a)
-    out_data = np.tanh(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (1.0 - out_data**2))
 
     return Tensor._make(out_data, (a,), backward)
 

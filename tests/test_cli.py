@@ -476,6 +476,34 @@ class TestGenerate:
         assert err == "error: temperature must be >= 0, got nan\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_max_question_past_the_checkpoint_exits_2_before_encoding(
+        self, workspace, tmp_path, capsys, monkeypatch, given
+    ):
+        limit = BertPgn.from_checkpoint(workspace["checkpoint"]).config.max_question + 1
+        cfg = tmp_path / "cfg.json"
+
+        def run(max_question, out):
+            argv = ["generate", "--checkpoint", workspace["checkpoint"], "--data",
+                    workspace["prepared"], "--vocab", workspace["vocab"], "--output", str(out)]
+            if given == "flag":
+                return cli.main(argv + ["--max-question", str(max_question)])
+            cfg.write_text(json.dumps({"max_question": max_question}), encoding="utf-8")
+            return cli.main(["--config", str(cfg), *argv])
+
+        assert run(limit, tmp_path / "ok.jsonl") == cli.EXIT_OK
+        before = sorted(p.name for p in tmp_path.iterdir())
+        capsys.readouterr()
+        monkeypatch.setattr(BertPgn, "encode_context", None)  # calling it would raise TypeError
+        assert run(limit + 1, tmp_path / "gen.jsonl") == cli.EXIT_INPUT
+        where = "--max-question" if given == "flag" else f"{cfg}: max_question"
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", (
+            f"error: {where} {limit + 1} exceeds max_question+1={limit} "
+            f"of checkpoint {workspace['checkpoint']}\n"
+        ))
+        assert sorted(p.name for p in tmp_path.iterdir()) == before  # no output, manifest or .*.tmp
+
     def test_vocab_size_mismatch_exits_2(self, workspace, tmp_path):
         small = str(tmp_path / "small_vocab.txt")
         assert cli.main(
@@ -541,12 +569,27 @@ class TestGenerate:
     ' "arrays": [{"name": "enc.word_emb", "shape": [2, "x"]}]}',
     '{"format": "sqgen-checkpoint", "version": 1, "config": {"vocab_size": 120},'
     ' "arrays": [7]}',
+    # edits of the workspace checkpoint's manifest, which loads without them
+    pytest.param(lambda m: m.update(version=99), id="version_99"),
+    pytest.param(lambda m: m.update(version="banana"), id="version_string"),
+    pytest.param(lambda m: m.pop("version"), id="no_version"),
+    pytest.param(lambda m: m.update(version=True), id="version_true"),
+    pytest.param(lambda m: m.update(version=1.0), id="version_float"),
+    pytest.param(lambda m: m["config"].update(use_decoder_lm="false"), id="use_lm_string"),
+    pytest.param(lambda m: m["config"].update(use_decoder_lm=0), id="use_lm_0"),
+    pytest.param(lambda m: m["config"].update(use_decoder_lm=None), id="use_lm_null"),
 ])
 def test_malformed_checkpoint_manifest_exits_2_naming_the_file(
     manifest, workspace, tmp_path, capsys
 ):
     ckpt = tmp_path / "bad.ckpt"
-    ckpt.write_text(manifest + "\n", encoding="utf-8")
+    if callable(manifest):
+        head, _, blob = open(workspace["checkpoint"], "rb").read().partition(b"\n")
+        edited = json.loads(head)
+        manifest(edited)
+        ckpt.write_bytes(json.dumps(edited).encode() + b"\n" + blob)
+    else:
+        ckpt.write_text(manifest + "\n", encoding="utf-8")
     rc = cli.main(
         ["generate", "--checkpoint", str(ckpt), "--data", workspace["prepared"],
          "--vocab", workspace["vocab"], "--output", str(tmp_path / "gen.jsonl")]
@@ -1111,7 +1154,7 @@ def test_option_strings_of_each_subcommand_are_pinned():
         "train": ["--batch-size", "--cross-layers", "--d-model", "--data",
                   "--decoder-lm-layers", "--dev", "--encoder-layers", "--epochs", "--ffn-dim",
                   "--help", "--lr", "--max-context", "--max-question", "--n-heads",
-                  "--no-decoder-lm", "--no-pointer", "--no-type-ids", "--out-dir", "--seed",
+                  "--no-pointer", "--no-type-ids", "--out-dir", "--seed",
                   "--split-ratio", "--vocab", "-h"],
         "generate": ["--beam", "--checkpoint", "--data", "--help", "--max-question", "--mode",
                      "--no-length-normalize", "--output", "--seed", "--temperature", "--top-p",

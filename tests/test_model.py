@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from numpy.testing import assert_allclose
 
 from helpers import TOY, interrupt_writes, params_digest, temp_files, toy_model
 from sqgen import numerics as nm
+from sqgen.decoding import greedy
 from sqgen.model import (
     BertPgn,
     CheckpointError,
@@ -146,7 +148,7 @@ class TestDecodeStep:
     def test_ablations_are_strict_subnetworks(self):
         full = set(toy_model().params)
         no_ptr = set(toy_model(use_pointer=False).params)
-        no_lm = set(toy_model(use_decoder_lm=False).params)
+        no_lm = set(toy_model(decoder_lm_layers=0).params)
         no_type = set(toy_model(use_type_ids=False).params)
         assert no_ptr < full and no_lm < full and no_type < full
         assert full - no_ptr == {"gate.w", "gate.b"}
@@ -174,8 +176,8 @@ class TestIncrementalDecoding:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"use_pointer": False}, {"use_decoder_lm": False}, {"decoder_lm_layers": 0}],
-        ids=["full", "no_pointer", "no_decoder_lm", "zero_lm_layers"],
+        [{}, {"use_pointer": False}, {"decoder_lm_layers": 0}],
+        ids=["full", "no_pointer", "zero_lm_layers"],
     )
     def test_cached_steps_match_full_prefix_recompute(self, overrides):
         for seed in range(3):
@@ -389,13 +391,40 @@ class TestCheckpoints:
         m.save(path)
         raw = open(path, "rb").read()
         head, _, blob = raw.partition(b"\n")
-        import json
-
         manifest = json.loads(head)
         manifest["config"]["bogus_knob"] = 1
         open(path, "wb").write(json.dumps(manifest).encode() + b"\n" + blob)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("use_lm, layers", [(False, 0), (True, 2)])
+    def test_legacy_use_decoder_lm_key_loads_the_same_model(self, tmp_path, use_lm, layers):
+        """Older files carry `use_decoder_lm` beside `decoder_lm_layers`, and
+        false meant no LM stack and no lm.* arrays whatever the layer count."""
+        m = toy_model(seed=3, decoder_lm_layers=layers)
+        plain = tmp_path / "plain.ckpt"
+        m.save(str(plain))
+        head, _, blob = plain.read_bytes().partition(b"\n")
+        manifest = json.loads(head)
+        assert "use_decoder_lm" not in manifest["config"]
+        manifest["config"].update(decoder_lm_layers=2, use_decoder_lm=use_lm)
+        legacy = tmp_path / "legacy.ckpt"
+        legacy.write_bytes(json.dumps(manifest, sort_keys=True).encode() + b"\n" + blob)
+
+        back = BertPgn.from_checkpoint(str(legacy))
+        assert back.config == m.config
+        _, want = load_checkpoint(str(plain))
+        _, got = load_checkpoint(str(legacy))
+        assert list(got) == list(want)
+        assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+        assert any(name.startswith("lm.") for name in got) == use_lm
+        fresh = BertPgn.from_checkpoint(str(plain))
+        hyps = [
+            greedy(model, model.encode_context([5, 6, 7, 8], [0, 1, 1, 0]),
+                   max_len=TOY["max_question"])
+            for model in (fresh, back)
+        ]
+        assert hyps[0] == hyps[1]
 
     def test_param_shapes_match_init_params(self):
         params = init_params(ModelConfig(**TOY), seed=9)

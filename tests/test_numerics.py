@@ -329,7 +329,7 @@ class TestBackward:
 
         def gradient(a, b):
             x = Tensor(xa.copy(), requires_grad=True)
-            loss = nm.sum_(x * x) * a + nm.sum_(nm.exp(x)) * b
+            loss = nm.sum_(x * x) * a + nm.sum_(nm.gelu(x)) * b
             return nm.grad_map(loss, {"x": x})["x"]
 
         g = 2.0 * gradient(1.0, 0.0) + 3.0 * gradient(0.0, 1.0)
@@ -479,7 +479,7 @@ class TestOpGradients:
         x = param(rng, 3, 4)
         w = rng.normal(size=(3, 4))
         build = lambda: nm.sum_(
-            (nm.tanh(x) + nm.sigmoid(x) * 0.5 - nm.exp(x * 0.1)) * Tensor(w)
+            (nm.gelu(x) + nm.sigmoid(x) * 0.5 - nm.log(nm.sigmoid(x))) * Tensor(w)
         )
         check_grads_by_fd(build, {"x": x}, rng)
 
@@ -528,7 +528,7 @@ class TestOpGradients:
 
         x = param(rng, 4, 6)
         cols = np.array([0, 5, 2, 2])
-        build2 = lambda: nm.sum_(nm.log(nm.exp(nm.take_per_row(x, cols))))
+        build2 = lambda: nm.sum_(nm.log(nm.sigmoid(nm.take_per_row(x, cols))))
         check_grads_by_fd(build2, {"x": x}, rng)
 
     def test_scatter_to_vocab(self):

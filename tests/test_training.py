@@ -92,7 +92,8 @@ class TestPinnedGradients:
 
 class TestPinnedCheckpoint:
     """sha256 of the checkpoint a tiny model writes after two epochs of
-    Adam steps, as the commit before the in-place Adam step computed it."""
+    Adam steps. Its arrays are the bytes the commit before the in-place Adam
+    step wrote; its manifest line carries no `use_decoder_lm` key."""
 
     def test_trained_checkpoint_bytes_are_pinned(self, tmp_path):
         examples = copy_task(6, vocab_size=TOY["vocab_size"], seed=3)
@@ -100,7 +101,7 @@ class TestPinnedCheckpoint:
         cfg = TrainConfig(lr=1e-3, batch_size=2, epochs=2, seed=1)
         train(toy_model(seed=4), split, cfg, out_dir=str(tmp_path))
         digest = hashlib.sha256((tmp_path / "epoch_002.ckpt").read_bytes()).hexdigest()
-        assert digest == "3ea8a2f42af1a648cd740b6854091cf5112a6ab60a20e2f8a9f9ce3f0a759113"
+        assert digest == "776a63d69359728a63a066c345b7c4efdceaed6ca14553e484e3c17cbfcc7031"
 
 
 class TestTrainConfig:
