@@ -3,9 +3,9 @@
 #
 # Runs the whole pipeline on a tiny synthetic corpus in a scratch directory:
 # build-vocab -> prepare (nq + news) -> train (with a dev file, on a seeded
-# split, and without the decoder LM stack) -> generate (beam, nucleus, greedy,
-# greedy from the no-LM model, and beam again through --config) -> eval gen /
-# eval qa / eval correlate, asserting exit codes and artifacts.
+# split, and without the decoder LM stack) -> generate (beam, nucleus twice,
+# greedy, greedy from the no-LM model, and beam again through --config) ->
+# eval gen / eval qa / eval correlate, asserting exit codes and artifacts.
 # Finishes in well under a minute on a laptop.
 set -eu
 
@@ -93,6 +93,11 @@ sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
 sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
     --vocab vocab.txt --output gen_nucleus.jsonl --max-question 8 \
     --mode nucleus --top-p 0.9 --temperature 1.0 --seed 7
+# A seeded nucleus run repeats its draws byte for byte.
+sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
+    --vocab vocab.txt --output gen_nucleus_again.jsonl --max-question 8 \
+    --mode nucleus --top-p 0.9 --temperature 1.0 --seed 7
+cmp gen_nucleus.jsonl gen_nucleus_again.jsonl
 sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
     --vocab vocab.txt --output gen_greedy.jsonl --max-question 8 --mode greedy
 [ "$(wc -l < gen_beam.jsonl)" -eq 3 ]
@@ -212,7 +217,7 @@ echo "== every manifest records a numeric wall time and peak RSS"
 python3 -c '
 import glob, json
 paths = sorted(glob.glob("**/*.manifest.json", recursive=True))
-assert len(paths) == 14, paths
+assert len(paths) == 15, paths
 for added in ("run_split/train.manifest.json", "gen_greedy.jsonl.manifest.json",
               "news_prepared.jsonl.manifest.json"):
     assert added in paths, (added, paths)
@@ -263,6 +268,19 @@ grep -q '^error: temperature must be >= 0' bad.err
 if grep -q Traceback bad.err; then echo "traceback for --temperature nan"; exit 1; fi
 test ! -e gen_nan.jsonl
 test ! -e gen_nan.jsonl.manifest.json
+
+# A merge line without a space fails when the vocabulary loads, though
+# generate itself never parses the merges.
+cp vocab.txt vocab_badmerge.txt
+echo 'abc' >> vocab_badmerge.txt
+bad_line=$(grep -c '' vocab_badmerge.txt)
+rc=0; sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
+    --vocab vocab_badmerge.txt --output gen_badvocab.jsonl 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a merge line without a space, got $rc"; exit 1; }
+grep -q "^error: vocab_badmerge.txt:$bad_line: merge line 'abc' holds no space" bad.err
+if grep -q Traceback bad.err; then echo "traceback for a merge line without a space"; exit 1; fi
+test ! -e gen_badvocab.jsonl
+test ! -e gen_badvocab.jsonl.manifest.json
 
 # run/best.ckpt has max_question 16, so a decode of up to 17 tokens fits.
 rc=0; sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \

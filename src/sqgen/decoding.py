@@ -10,10 +10,15 @@ caches attention keys and values there). Prefixes always start with BOS; a
 hypothesis finishes by emitting EOS. Every tie anywhere breaks toward the
 lowest token id, so decoding is a pure function of (model, context,
 arguments).
+
+Nucleus draws come from `Pcg64Stream`, which yields the draws of
+`np.random.default_rng(seed).random()` bit for bit without importing
+`numpy.random` (a 6 MB import that decoding needs nothing else of).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,10 +142,11 @@ def _top_candidates(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def sample_step(
-    dist: np.ndarray, top_p: float, temperature: float, rng: np.random.Generator
+    dist: np.ndarray, top_p: float, temperature: float, rng
 ) -> int:
     """Draw one token: temperature-sharpen, keep the smallest set of tokens
-    whose mass reaches top_p, renormalize, sample."""
+    whose mass reaches top_p, renormalize, sample with one `rng.random()`
+    (any object with that method: a `Pcg64Stream` or a NumPy Generator)."""
     check_settings(top_p=top_p, temperature=temperature)
     if temperature <= GREEDY_TEMPERATURE:
         return _argmax_lowest(dist)
@@ -178,7 +184,77 @@ def nucleus_sample(
     """Seeded nucleus sampling; logprob records the model's own (unfiltered)
     probability of the sampled sequence."""
     check_settings(max_len=max_len, top_p=top_p, temperature=temperature)
-    rng = np.random.default_rng(seed)
+    rng = Pcg64Stream(seed)
     return _walk(
         model, context, max_len, lambda dist: sample_step(dist, top_p, temperature, rng)
     )
+
+
+_MASK32 = (1 << 32) - 1
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_sequence_words(seed: int) -> list[int]:
+    """`np.random.SeedSequence(seed).generate_state(8)`: the seed's 32-bit
+    words, least significant first, hashed into a pool of 4, then hashed out
+    into 8 words."""
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return result ^ result >> 16
+
+    entropy = [seed & _MASK32]
+    while seed := seed >> 32:
+        entropy.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = 0x8B51F9DD
+    state = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return state
+
+
+class Pcg64Stream:
+    """The doubles of `np.random.default_rng(seed).random()`, bit for bit:
+    NumPy's PCG64 (XSL-RR output of a 128-bit LCG, O'Neill 2014) seeded
+    through its `SeedSequence`. A negative seed raises ValueError, as
+    `default_rng` does."""
+
+    def __init__(self, seed: int) -> None:
+        seed = operator.index(seed)  # a NumPy integer would wrap in the hashing
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        w = _seed_sequence_words(seed)
+        # generate_state(4, uint64) pairs the 32-bit words little-endian.
+        u = [w[i] | w[i + 1] << 32 for i in range(0, 8, 2)]
+        self._inc = ((u[2] << 64 | u[3]) << 1 | 1) & _MASK128
+        # From state 0: step (state = inc), add the initial state, step.
+        self._state = ((self._inc + (u[0] << 64 | u[1])) * _PCG_MULT + self._inc) & _MASK128
+
+    def random(self) -> float:
+        """Step, then take the top 53 bits of the new state's 64-bit output."""
+        state = self._state = (self._state * _PCG_MULT + self._inc) & _MASK128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _MASK64
+        return (((x >> rot | x << (64 - rot)) & _MASK64) >> 11) * 2.0**-53

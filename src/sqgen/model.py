@@ -32,7 +32,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -494,19 +494,27 @@ def _parse_manifest(
     missing = [key for key in ("config", "arrays") if key not in manifest]
     if missing:
         raise CheckpointError(f"{path}: manifest lacks {' and '.join(missing)}")
-    fields = manifest["config"]
-    if isinstance(fields, dict) and "use_decoder_lm" in fields:
-        # Older files carry this switch beside decoder_lm_layers; false meant
-        # no LM stack, and such files hold no lm.* arrays.
-        use_lm = fields.pop("use_decoder_lm")
-        if type(use_lm) is not bool:
-            raise CheckpointError(
-                f"{path}: use_decoder_lm {json.dumps(use_lm)} is not a JSON boolean"
-            )
-        if not use_lm:
-            fields["decoder_lm_layers"] = 0
+    values = manifest["config"]
+    if isinstance(values, dict):
+        if "use_decoder_lm" in values:
+            # Older files carry this switch beside decoder_lm_layers; false
+            # meant no LM stack, and such files hold no lm.* arrays.
+            use_lm = values.pop("use_decoder_lm")
+            if type(use_lm) is not bool:
+                raise CheckpointError(
+                    f"{path}: use_decoder_lm {json.dumps(use_lm)} is not a JSON boolean"
+                )
+            if not use_lm:
+                values["decoder_lm_layers"] = 0
+        for f in fields(ModelConfig):
+            # Exact types: JSON true is a Python int and 64.0 is no integer.
+            if f.name in values and type(values[f.name]).__name__ != f.type:
+                kind = "boolean" if f.type == "bool" else "integer"
+                raise CheckpointError(
+                    f"{path}: config {f.name} {json.dumps(values[f.name])} is not a JSON {kind}"
+                )
     try:
-        config = ModelConfig(**fields)
+        config = ModelConfig(**values)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: config does not fit the expected model: {exc}") from exc
     arrays = manifest["arrays"]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import files
@@ -46,7 +45,6 @@ class InvalidTokenId(ValueError):
     """decode() received an id outside the vocabulary."""
 
 
-@dataclass
 class Vocab:
     """Token table plus the ordered merge list that produced it.
 
@@ -54,12 +52,29 @@ class Vocab:
     applied in training order when encoding, so the table is part of the
     tokenizer's behavior, not just bookkeeping. The lookup tables `id_of`
     and `_merge_rank` are built by the first `encode`, so a vocabulary that
-    only decodes or counts its tokens never holds them.
+    only decodes or counts its tokens never holds them. A vocabulary from
+    `load_vocab` is given its merges as the checked lines of `merge_text`
+    instead, and parses them into `merges` on first use (`encode` or
+    `save_vocab`), so one that only decodes never holds the merge list.
     """
 
-    tokens: list[str]
-    merges: list[tuple[str, str]]
-    _word_cache: dict[str, list[int]] = field(init=False, repr=False, default_factory=dict)
+    def __init__(
+        self, tokens: list[str], merges: list[tuple[str, str]] | None = None, merge_text: str = ""
+    ) -> None:
+        self.tokens = tokens
+        if merges is not None:
+            self.merges = merges  # shadows the parse below
+        self._merge_text = merge_text
+        self._word_cache: dict[str, list[int]] = {}
+
+    @cached_property
+    def merges(self) -> list[tuple[str, str]]:
+        pairs = []
+        for line in self._merge_text.split("\n"):
+            if line:
+                a, _, b = line.partition(" ")
+                pairs.append((a, b))
+        return pairs
 
     @cached_property
     def id_of(self) -> dict[str, int]:
@@ -261,12 +276,9 @@ def load_vocab(path: str) -> Vocab:
     if MERGE_SENTINEL not in lines:
         raise InvalidCorpus(f"{path} has no {MERGE_SENTINEL} section")
     sentinel = len(lines) - 1 - lines[::-1].index(MERGE_SENTINEL)
-    merges = []
-    for n, line in enumerate(lines[sentinel + 1 :], sentinel + 2):
-        if not line:
-            continue
-        a, space, b = line.partition(" ")
-        if not space:
+    merge_lines = lines[sentinel + 1 :]
+    for n, line in enumerate(merge_lines, sentinel + 2):
+        if line and " " not in line:
             raise InvalidCorpus(f"{path}:{n}: merge line {line!r} holds no space")
-        merges.append((a, b))
-    return Vocab(tokens=lines[:sentinel], merges=merges)
+    # No line holds a "\n", so the merges parse from the joined lines alone.
+    return Vocab(tokens=lines[:sentinel], merge_text="\n".join(merge_lines))

@@ -578,6 +578,11 @@ class TestGenerate:
     pytest.param(lambda m: m["config"].update(use_decoder_lm="false"), id="use_lm_string"),
     pytest.param(lambda m: m["config"].update(use_decoder_lm=0), id="use_lm_0"),
     pytest.param(lambda m: m["config"].update(use_decoder_lm=None), id="use_lm_null"),
+    pytest.param(lambda m: m["config"].update(encoder_layers=1.5), id="encoder_layers_float"),
+    pytest.param(lambda m: m["config"].update(d_model=float(m["config"]["d_model"])),
+                 id="d_model_integral_float"),
+    pytest.param(lambda m: m["config"].update(use_pointer="no"), id="use_pointer_string"),
+    pytest.param(lambda m: m["config"].update(max_question=True), id="max_question_true"),
 ])
 def test_malformed_checkpoint_manifest_exits_2_naming_the_file(
     manifest, workspace, tmp_path, capsys
@@ -1038,17 +1043,25 @@ def test_malformed_scores_row_exits_2_naming_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {scores}:3: ")
 
 
+@pytest.mark.parametrize("command", ["prepare", "generate", "eval gen"])
 @pytest.mark.parametrize("defect", ["merge_without_space", "not_utf8"])
-def test_malformed_vocab_exits_2_naming_file_and_line(defect, workspace, tmp_path, capsys):
+def test_malformed_vocab_exits_2_naming_file_and_line(defect, command, workspace, tmp_path,
+                                                       capsys):
     vocab = tmp_path / "vocab.txt"
     lines = open(workspace["vocab"], "rb").read().splitlines()
     bad = {"merge_without_space": b"abc", "not_utf8": b"a \xff"}[defect]
     vocab.write_bytes(b"\n".join(lines + [bad]) + b"\n")
+    out = str(tmp_path / "out.jsonl")
+    argv = {
+        "prepare": ["prepare", "--kind", "nq", "--input", workspace["raw"], "--output", out],
+        "generate": ["generate", "--checkpoint", workspace["checkpoint"], "--data",
+                     workspace["prepared"], "--output", out],
+        # the vocabulary is read before the candidates
+        "eval gen": ["eval", "gen", "--candidates", workspace["prepared"], "--references",
+                     workspace["prepared"], "--output", out],
+    }[command]
     capsys.readouterr()
-    assert cli.main(
-        ["prepare", "--kind", "nq", "--input", workspace["raw"], "--output",
-         str(tmp_path / "p.jsonl"), "--vocab", str(vocab)]
-    ) == cli.EXIT_INPUT
+    assert cli.main(argv + ["--vocab", str(vocab)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: {vocab}:{len(lines) + 1}: ")
     assert "Traceback" not in err

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -14,6 +14,7 @@ from sqgen import decoding
 from sqgen.decoding import (
     Hypothesis,
     InvalidDecodeConfig,
+    Pcg64Stream,
     beam_search,
     greedy,
     nucleus_sample,
@@ -219,6 +220,31 @@ class TestSampleStep:
             sample_step(np.array([1.0]), top_p=0.5, temperature=-1.0, rng=rng)
         with pytest.raises(InvalidDecodeConfig):
             sample_step(np.array([1.0]), top_p=0.5, temperature=math.nan, rng=rng)
+
+
+class TestPcg64Stream:
+    """`nucleus_sample`'s draws are NumPy's `default_rng(seed).random()`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**130))
+    @example(seed=0)
+    @example(seed=2**31)
+    @example(seed=2**32 - 1)
+    @example(seed=2**32)
+    @example(seed=2**40 + 7)
+    @example(seed=2**64 + 3)
+    @example(seed=2**73 + 12345)
+    @example(seed=2**128)
+    def test_first_draws_equal_numpy_bit_for_bit(self, seed):
+        ours, numpy_rng = Pcg64Stream(seed), np.random.default_rng(seed)
+        got = np.array([ours.random() for _ in range(200)])
+        assert got.tobytes() == numpy_rng.random(200).tobytes()
+
+    def test_negative_seed_raises_value_error(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        with pytest.raises(ValueError):
+            Pcg64Stream(-1)
 
 
 class TestNucleusSample:

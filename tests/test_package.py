@@ -1,5 +1,5 @@
-"""The package's public names and what importing it and the text-only CLI
-commands load."""
+"""The package's public names and what importing it, the text-only CLI
+commands and the decoding commands load."""
 
 from __future__ import annotations
 
@@ -15,6 +15,9 @@ import pytest
 import sqgen
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sqgen.__file__)))
+CORPUS = "what is the capital of france\nparis is the capital of france\n"
+RECORD = {"id": "r1", "title": "capitals", "question": "what is the capital of france",
+          "context": "paris is the capital of france", "short_spans": [[0, 5]], "p_tag": True}
 
 
 def run_fresh(code: str, cwd) -> str:
@@ -42,14 +45,8 @@ class TestImportBoundary:
         assert out.strip() == "[]"
 
     def test_text_only_commands_run_without_numpy(self, tmp_path):
-        (tmp_path / "corpus.txt").write_text(
-            "what is the capital of france\nparis is the capital of france\n",
-            encoding="utf-8",
-        )
-        record = {"id": "r1", "title": "capitals", "question": "what is the capital of france",
-                  "context": "paris is the capital of france", "short_spans": [[0, 5]],
-                  "p_tag": True}
-        (tmp_path / "raw.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+        (tmp_path / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+        (tmp_path / "raw.jsonl").write_text(json.dumps(RECORD) + "\n", encoding="utf-8")
         (tmp_path / "cands.jsonl").write_text(
             json.dumps({"id": "r1", "question_text": "what is the capital"}) + "\n",
             encoding="utf-8",
@@ -79,6 +76,45 @@ class TestImportBoundary:
         assert out.split("\n") == ["0 False", "0 False", "0 False", "0 False", ""]
         assert json.loads((tmp_path / "gen.json").read_text(encoding="utf-8"))["n"] == 1
         assert (tmp_path / "qa_scatter.csv").read_text(encoding="utf-8").count("\n") == 2
+
+    def test_decoding_commands_never_import_numpy_random(self, tmp_path, monkeypatch):
+        from sqgen import cli
+
+        (tmp_path / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+        (tmp_path / "raw.jsonl").write_text(
+            "".join(json.dumps({**RECORD, "id": f"r{i}"}) + "\n" for i in range(2)),
+            encoding="utf-8",
+        )
+        monkeypatch.chdir(tmp_path)
+        for argv in (
+            ["build-vocab", "--input", "corpus.txt", "--output", "vocab.txt", "--size", "60"],
+            ["prepare", "--kind", "nq", "--input", "raw.jsonl", "--output", "prep.jsonl",
+             "--vocab", "vocab.txt", "--max-context", "16", "--max-question", "8"],
+            ["train", "--data", "prep.jsonl", "--vocab", "vocab.txt", "--out-dir", "run",
+             "--epochs", "1", "--d-model", "8", "--n-heads", "2", "--encoder-layers", "1",
+             "--decoder-lm-layers", "1", "--cross-layers", "1", "--ffn-dim", "8",
+             "--max-context", "16", "--max-question", "8"],
+        ):
+            assert cli.main(argv) == 0
+        # A new interpreter: pytest itself has numpy.random loaded.
+        out = run_fresh(
+            """
+            import sys
+            from sqgen import cli
+            generate = ["generate", "--checkpoint", "run/best.ckpt", "--data", "prep.jsonl",
+                        "--vocab", "vocab.txt", "--output", "gen.jsonl", "--mode"]
+            for argv in (
+                generate + ["beam"],
+                generate + ["nucleus", "--temperature", "1.0", "--seed", "7"],
+                generate + ["greedy"],
+                ["eval", "gen", "--candidates", "gen.jsonl", "--references", "prep.jsonl",
+                 "--vocab", "vocab.txt", "--output", "gen.json"],
+            ):
+                print(cli.main(argv), "numpy.random" in sys.modules)
+            """,
+            tmp_path,
+        )
+        assert out.split("\n") == ["0 False", "0 False", "0 False", "0 False", ""]
 
 
 class TestPublicNames:

@@ -133,7 +133,8 @@ class TestEncode:
 
 
 class TestLazyTables:
-    """`id_of` and the merge ranks are built by the first `encode`."""
+    """`id_of` and the merge ranks are built by the first `encode`, and so is
+    a loaded vocabulary's merge list."""
 
     def test_decode_only_vocab_builds_neither_table(self, tiny_vocab, tmp_path):
         path = str(tmp_path / "vocab.txt")
@@ -144,6 +145,20 @@ class TestLazyTables:
         )
         assert "id_of" not in vars(vocab)
         assert "_merge_rank" not in vars(vocab)
+
+    def test_loaded_merges_are_parsed_by_the_first_encode(self, tiny_vocab, tmp_path):
+        path = str(tmp_path / "vocab.txt")
+        save_vocab(tiny_vocab, path)
+        vocab = load_vocab(path)
+        decode(list(range(len(vocab))), vocab)
+        assert vocab.id_of["[EOS]"] == EOS_ID
+        assert "merges" not in vars(vocab)
+        assert encode("the capital of france", vocab) == encode("the capital of france",
+                                                                tiny_vocab)
+        assert "merges" in vars(vocab)
+        lines = open(path, encoding="utf-8").read().splitlines()
+        full_parse = [tuple(line.split(" ", 1)) for line in lines[len(vocab) + 1 :]]
+        assert vocab.merges == full_parse == tiny_vocab.merges
 
     def test_encode_ids_are_pinned(self):
         # sha256 of the ids as the parent commit, which built both tables in
