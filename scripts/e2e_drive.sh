@@ -5,7 +5,8 @@
 # build-vocab -> prepare (nq + news) -> train (with a dev file, on a seeded
 # split, and without the decoder LM stack) -> generate (beam, nucleus twice,
 # greedy, greedy from the no-LM model, and beam again through --config) ->
-# eval gen / eval qa / eval correlate, asserting exit codes and artifacts.
+# eval gen / eval qa / build-vocab from the nq and news records / eval
+# correlate, asserting exit codes and artifacts.
 # Finishes in well under a minute on a laptop.
 set -eu
 
@@ -182,6 +183,19 @@ EOF
 test -s qa_means.csv
 test -s qa_scatter.svg
 
+echo "== build-vocab from nq and news records (streamed), and reload each"
+sqgen build-vocab --kind nq --input raw.jsonl --output vocab_nq.txt --size 120
+sqgen build-vocab --kind news --input news.jsonl --output vocab_news.txt --size 120
+python3 - <<'EOF'
+from sqgen.textproc import SPECIAL_TOKENS, UNK_ID, encode, load_vocab
+for path, text in (("vocab_nq.txt", "what is the capital of france"),
+                   ("vocab_news.txt", "the storm closed roads")):
+    vocab = load_vocab(path)
+    assert vocab.tokens[:4] == list(SPECIAL_TOKENS), path
+    assert len(set(vocab.tokens)) == len(vocab) <= 120, (path, len(vocab))
+    assert vocab.merges and UNK_ID not in encode(text, vocab), path
+EOF
+
 echo "== eval correlate"
 cat > scores.csv <<'EOF'
 id,s_ans,s_gra,model_tag
@@ -217,9 +231,10 @@ echo "== every manifest records a numeric wall time and peak RSS"
 python3 -c '
 import glob, json
 paths = sorted(glob.glob("**/*.manifest.json", recursive=True))
-assert len(paths) == 15, paths
+assert len(paths) == 17, paths
 for added in ("run_split/train.manifest.json", "gen_greedy.jsonl.manifest.json",
-              "news_prepared.jsonl.manifest.json"):
+              "news_prepared.jsonl.manifest.json", "vocab_nq.txt.manifest.json",
+              "vocab_news.txt.manifest.json"):
     assert added in paths, (added, paths)
 for path in paths:
     manifest = json.load(open(path, encoding="utf-8"))
@@ -281,6 +296,16 @@ grep -q "^error: vocab_badmerge.txt:$bad_line: merge line 'abc' holds no space" 
 if grep -q Traceback bad.err; then echo "traceback for a merge line without a space"; exit 1; fi
 test ! -e gen_badvocab.jsonl
 test ! -e gen_badvocab.jsonl.manifest.json
+
+# A token line that repeats an earlier one would give its token two ids.
+{ head -n 6 vocab.txt; sed -n 5p vocab.txt; tail -n +7 vocab.txt; } > vocab_dup.txt
+rc=0; sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
+    --vocab vocab_dup.txt --output gen_dupvocab.jsonl 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a repeated token line, got $rc"; exit 1; }
+grep -q "^error: vocab_dup.txt:7: token .* repeats line 5$" bad.err
+if grep -q Traceback bad.err; then echo "traceback for a repeated token line"; exit 1; fi
+test ! -e gen_dupvocab.jsonl
+test ! -e gen_dupvocab.jsonl.manifest.json
 
 # run/best.ckpt has max_question 16, so a decode of up to 17 tokens fits.
 rc=0; sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \

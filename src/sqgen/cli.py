@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import html
 import io
 import json
 import os
@@ -38,8 +37,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict, dataclass
-from datetime import datetime, timezone
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 # Pure-Python modules only: a command that needs `numerics`, `model`,
 # `training` or `decoding` (and so NumPy), or `qaeval`, imports it in its body.
@@ -85,7 +83,8 @@ def write_manifest(
         "seed": seed,
         "settings": settings or {},
         "git": _git_describe(),
-        "started_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        # `time`, not `datetime`, which no text command otherwise loads
+        "started_utc": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         "wall_seconds": wall_seconds,
         "peak_rss_mb": peak_rss_mb,
     }
@@ -182,14 +181,18 @@ def _question_row(obj: dict) -> tuple[str, str]:
 
 def cmd_build_vocab(args: argparse.Namespace) -> Done:
     size = _setting(args, "size", textproc.DEFAULT_VOCAB_SIZE)
-    lines: list[str] = []
+    # Records are streamed into the word counts; a malformed one raises
+    # before anything is written.
     if args.kind == "nq":
-        for rec in corpus.read_raw_records(args.input):
-            lines.extend([rec.title, rec.context, rec.question])
+        lines: Iterable[str] = (
+            text for rec in corpus.read_raw_records(args.input)
+            for text in (rec.title, rec.context, rec.question)
+        )
     elif args.kind == "news":
-        for _, article, highlights in corpus.read_news_records(args.input):
-            lines.append(corpus.clean_article(article))
-            lines.append(highlights)
+        lines = (
+            text for _, article, highlights in corpus.read_news_records(args.input)
+            for text in (corpus.clean_article(article), highlights)
+        )
     else:
         lines = files.read_text(args.input).splitlines()
     vocab = textproc.train_vocab(lines, target_size=size)
@@ -490,6 +493,8 @@ def scatter_svg(
     height: int = 480,
 ) -> None:
     """Write a self-contained static SVG scatter plot (no plotting library)."""
+    import html  # here, not at module level: only `eval qa` draws a plot
+
     xlabel, ylabel, title = (html.escape(t, quote=False) for t in (xlabel, ylabel, title))
     margin = 60
     if points:

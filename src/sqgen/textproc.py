@@ -9,6 +9,14 @@ so a vocabulary file needs no case setting. Both also read the marker
 character itself as a space: a marker inside a word would decode as a word
 boundary, so it is one from the start, and no token ever holds a marker
 after its first character.
+
+Training reads its corpus once, as a stream of lines, and keeps only the
+word types: each one's count and current symbols, each pair's count, and an
+append-only list per pair of the words that took it on. Stale entries in
+those lists are skipped when the pair is merged, not removed as they go
+stale; a list goes whole once no word holds its pair. The lazy heap of
+candidate merges is rebuilt once it holds more than twice as many entries
+as there are live pairs.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from functools import cached_property
+from typing import Iterable
 
 from . import files
 
@@ -92,10 +101,18 @@ def _normalize(text: str) -> str:
     return text.lower().replace(WORD_MARK, " ")
 
 
-def _words(corpus: list[str]) -> Counter[str]:
+def _word_counts(lines: Iterable[str]) -> Counter[str]:
+    """Count the words of `lines` as they arrive, holding no line past its
+    own count."""
     counts: Counter[str] = Counter()
-    for line in corpus:
+    empty = True
+    for line in lines:
+        empty = False
         counts.update(_normalize(line).split())
+    if empty:
+        raise InvalidCorpus("corpus is empty")
+    if not counts:
+        raise InvalidCorpus("corpus contains no words")
     return counts
 
 
@@ -105,7 +122,7 @@ def _word_symbols(word: str) -> tuple[str, ...]:
     return tuple(chars)
 
 
-def train_vocab(corpus: list[str], target_size: int = DEFAULT_VOCAB_SIZE) -> Vocab:
+def train_vocab(corpus: Iterable[str], target_size: int = DEFAULT_VOCAB_SIZE) -> Vocab:
     """Learn a byte-pair vocabulary of at most target_size entries.
 
     Greedy pair merging over whitespace-split words. Each merge is the pair
@@ -113,28 +130,33 @@ def train_vocab(corpus: list[str], target_size: int = DEFAULT_VOCAB_SIZE) -> Voc
     the smallest pair tuple, so ("a", "bc") beats ("ab", "c"). Training is
     therefore deterministic.
 
-    Pair counts and the words holding each pair are updated incrementally, so
-    a merge only rewrites the words that contain it. The merge is chosen from
-    a lazy max-heap of (-count, merged string, pair): an entry whose count is
-    out of date is popped when it reaches the top, and pushed back at the
-    current count while the pair still occurs. A merge can raise only the
-    counts of pairs holding the merged symbol, and only those are pushed
-    after it; every other count can only fall. Training costs O(P log P)
-    heap work for P pushed pairs plus, per merge, the rewrite of the words
-    holding the chosen pair, instead of a scan over every pair on every
-    merge.
-    """
-    if not corpus:
-        raise InvalidCorpus("corpus is empty")
+    `corpus` is any iterable of lines, read once: its words are counted as
+    the lines arrive, so memory follows the word types, not the corpus.
+    Training then holds each word type's count and current symbols, each
+    pair's count, and for each pair a list of the words that took it on.
+    A word is appended to a pair's list only when it newly holds the pair,
+    and no word is ever removed from a list: a merge rewrites the listed
+    words in id order and skips any that no longer hold the pair. A list
+    goes whole when its pair is merged or its count falls to zero. A rewrite
+    changes only the counts of the pairs whose number in the word changed.
 
-    word_counts = _words(corpus)
-    if not word_counts:
-        raise InvalidCorpus("corpus contains no words")
-    words: list[list[str]] = []
+    The merge is chosen from a lazy max-heap of (-count, merged string,
+    pair): an entry whose count is out of date is popped when it reaches the
+    top, and pushed back at the current count while the pair still occurs.
+    A rewrite pushes each pair whose count it raised; every other count can
+    only fall. When the heap holds more than twice as many entries as there
+    are live pairs, it is rebuilt from the live counts. Training costs
+    O(P log P) heap work for P pushed pairs plus, per merge, the rewrite of
+    the words listed for the chosen pair, instead of a scan over every pair
+    on every merge.
+    """
+    word_counts = _word_counts(corpus)
+    words: list[tuple[str, ...]] = []
     freqs: list[int] = []
     for word, freq in sorted(word_counts.items()):
-        words.append(list(_word_symbols(word)))
+        words.append(_word_symbols(word))
         freqs.append(freq)
+    del word_counts
 
     alphabet = sorted({sym for w in words for sym in w})
     if target_size < len(SPECIAL_TOKENS) + len(alphabet):
@@ -143,20 +165,24 @@ def train_vocab(corpus: list[str], target_size: int = DEFAULT_VOCAB_SIZE) -> Voc
             f"+ alphabet of {len(alphabet)}"
         )
 
-    tokens = list(SPECIAL_TOKENS) + alphabet
-    known = set(tokens)
+    # The token table in id order; a dict, which also answers membership.
+    tokens = dict.fromkeys([*SPECIAL_TOKENS, *alphabet])
     merges: list[tuple[str, str]] = []
 
-    # pair -> total frequency, and pair -> indices of words containing it.
-    pair_freq: Counter[tuple[str, str]] = Counter()
-    pair_words: dict[tuple[str, str], set[int]] = {}
+    # pair -> total frequency, and pair -> ids of the words that took it on.
+    pair_freq: dict[tuple[str, str], int] = {}
+    pair_words: dict[tuple[str, str], list[int]] = {}
     for wi, w in enumerate(words):
         f = freqs[wi]
-        for a, b in zip(w, w[1:]):
-            pair_freq[(a, b)] += f
-            pair_words.setdefault((a, b), set()).add(wi)
+        for pair in zip(w, w[1:]):
+            pair_freq[pair] = pair_freq.get(pair, 0) + f
+            holders = pair_words.get(pair)
+            if holders is None:
+                pair_words[pair] = [wi]
+            elif holders[-1] != wi:
+                holders.append(wi)
 
-    heap = [(-f, a + b, (a, b)) for (a, b), f in pair_freq.items()]
+    heap = [(-f, pair[0] + pair[1], pair) for pair, f in pair_freq.items()]
     heapq.heapify(heap)
 
     while len(tokens) < target_size and pair_freq:
@@ -170,43 +196,50 @@ def train_vocab(corpus: list[str], target_size: int = DEFAULT_VOCAB_SIZE) -> Voc
             else:
                 heapq.heappop(heap)
         merges.append(best)
-        if merged not in known:
-            tokens.append(merged)
-            known.add(merged)
+        tokens.setdefault(merged)
 
+        a, b = best
         raised: set[tuple[str, str]] = set()
-        for wi in sorted(pair_words.get(best, ())):
+        for wi in sorted(set(pair_words.pop(best))):
             w = words[wi]
-            f = freqs[wi]
-            # Drop this word's old pair contributions, apply the merge, re-add.
-            for a, b in zip(w, w[1:]):
-                pair_freq[(a, b)] -= f
-                if pair_freq[(a, b)] <= 0:
-                    del pair_freq[(a, b)]
-                ws = pair_words.get((a, b))
-                if ws is not None:
-                    ws.discard(wi)
-                    if not ws:
-                        del pair_words[(a, b)]
             new_w: list[str] = []
             j = 0
             while j < len(w):
-                if j + 1 < len(w) and (w[j], w[j + 1]) == best:
+                if j + 1 < len(w) and w[j] == a and w[j + 1] == b:
                     new_w.append(merged)
                     j += 2
                 else:
                     new_w.append(w[j])
                     j += 1
-            words[wi] = new_w
-            for a, b in zip(new_w, new_w[1:]):
-                pair_freq[(a, b)] += f
-                pair_words.setdefault((a, b), set()).add(wi)
-                if a == merged or b == merged:
-                    raised.add((a, b))
-        for a, b in raised:
-            heapq.heappush(heap, (-pair_freq[(a, b)], a + b, (a, b)))
+            if len(new_w) == len(w):
+                continue  # an earlier merge took the pair from this word
+            words[wi] = tuple(new_w)
+            f = freqs[wi]
+            old = Counter(zip(w, w[1:]))
+            new = Counter(zip(new_w, new_w[1:]))
+            for pair, n in old.items():
+                fell = n - new[pair]
+                if fell > 0:
+                    left = pair_freq[pair] - fell * f
+                    if left:
+                        pair_freq[pair] = left
+                    else:  # no word holds the pair, so its whole list is stale
+                        del pair_freq[pair]
+                        pair_words.pop(pair, None)
+            for pair, n in new.items():
+                rose = n - old[pair]
+                if rose > 0:
+                    pair_freq[pair] = pair_freq.get(pair, 0) + rose * f
+                    raised.add(pair)
+                    if not old[pair]:
+                        pair_words.setdefault(pair, []).append(wi)
+        for pair in raised:
+            heapq.heappush(heap, (-pair_freq[pair], pair[0] + pair[1], pair))
+        if len(heap) > 2 * len(pair_freq):
+            heap = [(-f, pair[0] + pair[1], pair) for pair, f in pair_freq.items()]
+            heapq.heapify(heap)
 
-    return Vocab(tokens=tokens, merges=merges)
+    return Vocab(tokens=list(tokens), merges=merges)
 
 
 def _apply_merges(symbols: list[str], rank: dict[tuple[str, str], int]) -> list[str]:
@@ -266,7 +299,10 @@ def save_vocab(vocab: Vocab, path: str) -> None:
 
 def load_vocab(path: str) -> Vocab:
     """Read what `save_vocab` wrote; a malformed file raises InvalidCorpus
-    naming `path:line`."""
+    naming `path:line`. Lines 1-4 must be the specials in id order, and no
+    token line may hold a space or repeat an earlier one, so each token has
+    one id; the check keeps no table, so `id_of` is still built on first
+    use."""
     try:
         lines = files.read_text(path).splitlines()
     except ValueError as exc:
@@ -276,9 +312,24 @@ def load_vocab(path: str) -> Vocab:
     if MERGE_SENTINEL not in lines:
         raise InvalidCorpus(f"{path} has no {MERGE_SENTINEL} section")
     sentinel = len(lines) - 1 - lines[::-1].index(MERGE_SENTINEL)
+    for n, special in enumerate(SPECIAL_TOKENS, 1):
+        if n > sentinel or lines[n - 1] != special:
+            raise InvalidCorpus(f"{path}:{n}: expected {special!r}, got {lines[n - 1]!r}")
+    tokens = lines[:sentinel]
+    # Whole-table checks first; the loop only runs to name the first bad line.
+    if len(set(tokens)) < len(tokens) or " " in "".join(tokens):
+        seen: set[str] = set()
+        for n, tok in enumerate(tokens, 1):
+            if " " in tok:
+                raise InvalidCorpus(f"{path}:{n}: token line {tok!r} holds a space")
+            if tok in seen:
+                raise InvalidCorpus(
+                    f"{path}:{n}: token {tok!r} repeats line {tokens.index(tok) + 1}"
+                )
+            seen.add(tok)
     merge_lines = lines[sentinel + 1 :]
     for n, line in enumerate(merge_lines, sentinel + 2):
         if line and " " not in line:
             raise InvalidCorpus(f"{path}:{n}: merge line {line!r} holds no space")
     # No line holds a "\n", so the merges parse from the joined lines alone.
-    return Vocab(tokens=lines[:sentinel], merge_text="\n".join(merge_lines))
+    return Vocab(tokens=tokens, merge_text="\n".join(merge_lines))

@@ -951,12 +951,21 @@ def malformed_case(kind, ws, t):
         argv = ["prepare", "--kind", "nq", "--input", path, "--output", f"{t}/out.jsonl",
                 "--vocab", ws["vocab"]]
         return NQ_RECORDS[0], "context", argv
+    if kind in ("build-vocab nq", "build-vocab news"):
+        # build-vocab streams the records: the good one is counted before
+        # the bad one is read
+        source = kind.split()[1]
+        argv = ["build-vocab", "--kind", source, "--input", path, "--output", f"{t}/v.txt"]
+        good, field = (NQ_RECORDS[0], "context") if source == "nq" else (NEWS_ROWS[0], "article")
+        return good, field, argv
     argv = ["eval", "gen", "--candidates", path, "--references", ws["prepared"],
             "--vocab", ws["vocab"], "--output", f"{t}/out.json"]
     return {"id": "r1", "question_text": "what is the capital"}, "question_text", argv
 
 
-@pytest.mark.parametrize("kind", ["prepared", "nq", "news", "candidates"])
+@pytest.mark.parametrize(
+    "kind", ["prepared", "nq", "news", "candidates", "build-vocab nq", "build-vocab news"]
+)
 @pytest.mark.parametrize(
     "defect", ["wrong_type", "missing", "not_an_object", "not_json", "not_utf8"]
 )
@@ -1043,14 +1052,26 @@ def test_malformed_scores_row_exits_2_naming_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {scores}:3: ")
 
 
+# Each defect maps the good file's lines to (line number, bad line): the bad
+# line replaces that line, or is appended when the number is one past the end.
+VOCAB_DEFECTS = {
+    "merge_without_space": lambda lines: (len(lines) + 1, b"abc"),
+    "not_utf8": lambda lines: (len(lines) + 1, b"a \xff"),
+    "special_replaced": lambda lines: (1, b"x"),
+    "token_with_space": lambda lines: (5, "\u2581a b".encode()),
+    "repeated_token": lambda lines: (6, lines[4]),
+}
+
+
 @pytest.mark.parametrize("command", ["prepare", "generate", "eval gen"])
-@pytest.mark.parametrize("defect", ["merge_without_space", "not_utf8"])
+@pytest.mark.parametrize("defect", list(VOCAB_DEFECTS))
 def test_malformed_vocab_exits_2_naming_file_and_line(defect, command, workspace, tmp_path,
                                                        capsys):
     vocab = tmp_path / "vocab.txt"
     lines = open(workspace["vocab"], "rb").read().splitlines()
-    bad = {"merge_without_space": b"abc", "not_utf8": b"a \xff"}[defect]
-    vocab.write_bytes(b"\n".join(lines + [bad]) + b"\n")
+    bad_line, bad = VOCAB_DEFECTS[defect](lines)
+    lines[bad_line - 1 : bad_line] = [bad]
+    vocab.write_bytes(b"\n".join(lines) + b"\n")
     out = str(tmp_path / "out.jsonl")
     argv = {
         "prepare": ["prepare", "--kind", "nq", "--input", workspace["raw"], "--output", out],
@@ -1063,7 +1084,7 @@ def test_malformed_vocab_exits_2_naming_file_and_line(defect, command, workspace
     capsys.readouterr()
     assert cli.main(argv + ["--vocab", str(vocab)]) == cli.EXIT_INPUT
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {vocab}:{len(lines) + 1}: ")
+    assert err.startswith(f"error: {vocab}:{bad_line}: ")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["vocab.txt"]
 

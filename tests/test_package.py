@@ -69,11 +69,16 @@ class TestImportBoundary:
                 ["eval", "qa", "--questions", "cands.jsonl", "--contexts", "news.jsonl",
                  "--vocab", "vocab.txt", "--output-prefix", "qa"],
             ):
-                print(cli.main(argv), "numpy" in sys.modules)
+                print(cli.main(argv), "numpy" in sys.modules, "html" in sys.modules,
+                      "datetime" in sys.modules)
             """,
             tmp_path,
         )
-        assert out.split("\n") == ["0 False", "0 False", "0 False", "0 False", ""]
+        # Only `eval qa` draws a plot, which escapes its labels with `html`.
+        assert out.split("\n") == [
+            "0 False False False", "0 False False False", "0 False False False",
+            "0 False True False", "",
+        ]
         assert json.loads((tmp_path / "gen.json").read_text(encoding="utf-8"))["n"] == 1
         assert (tmp_path / "qa_scatter.csv").read_text(encoding="utf-8").count("\n") == 2
 

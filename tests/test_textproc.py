@@ -68,6 +68,12 @@ class TestTrainVocab:
         with pytest.raises(InvalidCorpus):
             train_vocab(["   ", ""], target_size=10)
 
+    def test_empty_stream_rejected(self):
+        with pytest.raises(InvalidCorpus, match="corpus is empty"):
+            train_vocab(iter([]), target_size=10)
+        with pytest.raises(InvalidCorpus, match="corpus contains no words"):
+            train_vocab((line for line in ["   ", ""]), target_size=10)
+
     def test_undersized_target_rejected(self):
         with pytest.raises(InvalidSize):
             train_vocab(["abcdefg"], target_size=6)
@@ -75,6 +81,29 @@ class TestTrainVocab:
     def test_lowercases_by_default(self):
         vocab = train_vocab(["The Cat"], target_size=30)
         assert all(tok == tok.lower() for tok in vocab.tokens[4:])
+
+
+@st.composite
+def _merge_corpus(draw):
+    """Lines of a few words over 2-4 letters, the word mark among them, and
+    a target size with room for merges: the lines `TestMergeOrder` trains on."""
+    letters = draw(st.lists(st.sampled_from("abc" + textproc.WORD_MARK),
+                            min_size=2, max_size=4, unique=True))
+    word = st.text(st.sampled_from(letters), min_size=1, max_size=6)
+    lines = draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
+                          min_size=1, max_size=5))
+    return lines, draw(st.integers(4 + len(letters) * 2, 60))
+
+
+class TestStreamedCorpus:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_merge_corpus())
+    def test_one_shot_generator_trains_as_the_list(self, case):
+        lines, target = case
+        assume(any(line.replace(textproc.WORD_MARK, " ").split() for line in lines))
+        listed = train_vocab(lines, target_size=target)
+        streamed = train_vocab((line for line in lines), target_size=target)
+        assert (streamed.tokens, streamed.merges) == (listed.tokens, listed.merges)
 
 
 class TestMergeOrder:
@@ -248,10 +277,13 @@ class TestSaveLoad:
     _token = st.text(
         st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), min_size=1, max_size=6
     )
+    # Each token has one id, so a token table repeats no token.
+    _learned = _token.filter(lambda tok: tok not in textproc.SPECIAL_TOKENS)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(tokens=st.lists(_token, max_size=12), merges=st.lists(st.tuples(_token, _token), max_size=8))
+    @given(tokens=st.lists(_learned, max_size=12, unique=True),
+           merges=st.lists(st.tuples(_token, _token), max_size=8))
     def test_round_trip_of_any_tokens_and_merges(self, tmp_path, tokens, merges):
         vocab = Vocab(tokens=list(textproc.SPECIAL_TOKENS) + tokens, merges=merges)
         path = tmp_path / "vocab.txt"
@@ -259,6 +291,19 @@ class TestSaveLoad:
         loaded = load_vocab(str(path))
         assert loaded.tokens == vocab.tokens
         assert loaded.merges == vocab.merges
+
+    @pytest.mark.parametrize("token_lines, line, message", [
+        ([*textproc.SPECIAL_TOKENS, "▁a", "a", "▁a"], 7, "token '▁a' repeats line 5"),
+        (["x", "y", "[BOS]", "[EOS]", "▁a"], 1, "expected '[PAD]', got 'x'"),
+        ([*textproc.SPECIAL_TOKENS, "▁a b"], 5, "token line '▁a b' holds a space"),
+    ], ids=["repeated_token", "specials_replaced", "token_with_space"])
+    def test_malformed_token_line_names_file_and_line(self, tmp_path, token_lines, line,
+                                                       message):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(token_lines + ["#MERGES"]) + "\n", encoding="utf-8")
+        with pytest.raises(InvalidCorpus) as err:
+            load_vocab(str(path))
+        assert str(err.value) == f"{path}:{line}: {message}"
 
     def test_loaded_vocab_decodes_identically(self, tiny_vocab, tmp_path):
         path = tmp_path / "vocab.txt"
