@@ -6,7 +6,8 @@
 # split, and without the decoder LM stack) -> generate (beam, nucleus twice,
 # greedy, greedy from the no-LM model, and beam again through --config) ->
 # eval gen / eval qa / build-vocab from the nq and news records / eval
-# correlate, asserting exit codes and artifacts.
+# correlate, asserting exit codes and artifacts. The vocabulary is built a
+# second time from a CRLF copy of the corpus, which must give the same bytes.
 # Finishes in well under a minute on a laptop.
 set -eu
 
@@ -44,6 +45,10 @@ echo "== build-vocab"
 sqgen build-vocab --input corpus.txt --output vocab.txt --size 120
 test -s vocab.txt
 test -s vocab.txt.manifest.json
+# The same corpus with CRLF line ends learns the same vocabulary.
+sed 's/$/\r/' corpus.txt > corpus_crlf.txt
+sqgen build-vocab --kind text --input corpus_crlf.txt --output vocab_crlf.txt --size 120
+cmp vocab.txt vocab_crlf.txt
 
 echo "== prepare (nq)"
 sqgen prepare --kind nq --input raw.jsonl --output prepared.jsonl \
@@ -231,8 +236,9 @@ echo "== every manifest records a numeric wall time and peak RSS"
 python3 -c '
 import glob, json
 paths = sorted(glob.glob("**/*.manifest.json", recursive=True))
-assert len(paths) == 17, paths
-for added in ("run_split/train.manifest.json", "gen_greedy.jsonl.manifest.json",
+assert len(paths) == 18, paths
+for added in ("vocab_crlf.txt.manifest.json", "run_split/train.manifest.json",
+              "gen_greedy.jsonl.manifest.json",
               "news_prepared.jsonl.manifest.json", "vocab_nq.txt.manifest.json",
               "vocab_news.txt.manifest.json"):
     assert added in paths, (added, paths)
@@ -258,6 +264,30 @@ rc=0; sqgen build-vocab --kind text --input bad_corpus.txt --output bad_vocab.tx
 grep -q '^error: bad_corpus.txt:2: ' bad.err
 if grep -q Traceback bad.err; then echo "traceback for a non-UTF-8 corpus"; exit 1; fi
 test ! -e bad_vocab.txt
+
+# An id past the csv module's field limit is an input error, not a crash.
+python3 -c '
+print("id,s_ans,s_gra,model_tag")
+print("\"" + "x" * 200000 + "\",5.0,1.0,toy")
+' > scores_long.csv
+rc=0; sqgen eval correlate --scores scores_long.csv --annotations annotations.jsonl \
+    --output corr_long.json > long.out 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for an over-long csv field, got $rc"; exit 1; }
+grep -q '^error: scores_long.csv:2: field larger than field limit' bad.err
+if grep -q Traceback bad.err; then echo "traceback for an over-long csv field"; exit 1; fi
+test ! -s long.out
+test ! -e corr_long.json
+test ! -e corr_long.json.manifest.json
+
+# p_tag is a JSON boolean; the string "false" is not one.
+sed 's/"p_tag": false/"p_tag": "false"/' raw.jsonl > raw_ptag.jsonl
+rc=0; sqgen prepare --kind nq --input raw_ptag.jsonl --output ptag_prepared.jsonl \
+    --vocab vocab.txt 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a string p_tag, got $rc"; exit 1; }
+grep -q "^error: raw_ptag.jsonl:4: record r4: field 'p_tag' must be true or false$" bad.err
+if grep -q Traceback bad.err; then echo "traceback for a string p_tag"; exit 1; fi
+test ! -e ptag_prepared.jsonl
+test ! -e ptag_prepared.jsonl.manifest.json
 
 rc=0; sqgen prepare --kind nq --input raw.jsonl --output bad_prepared.jsonl \
     --vocab vocab.txt --max-context -1 2> bad.err || rc=$?

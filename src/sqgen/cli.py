@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import subprocess
@@ -194,7 +193,7 @@ def cmd_build_vocab(args: argparse.Namespace) -> Done:
             for text in (corpus.clean_article(article), highlights)
         )
     else:
-        lines = files.read_text(args.input).splitlines()
+        lines = files.read_lines(args.input)
     vocab = textproc.train_vocab(lines, target_size=size)
     textproc.save_vocab(vocab, args.output)
     print(f"vocab of {len(vocab)} tokens -> {args.output}", file=sys.stderr)
@@ -455,12 +454,16 @@ def _eval_correlate(args: argparse.Namespace) -> Done:
     from . import qaeval
 
     scores: dict[str, tuple[float, float]] = {}
-    reader = csv.DictReader(io.StringIO(files.read_text(args.scores), newline=""))
-    for row in reader:
-        try:
-            scores[row["id"]] = (float(row["s_ans"]), float(row["s_gra"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise corpus.row_error(args.scores, reader.line_num, exc) from exc
+    reader = csv.DictReader(files.read_lines(args.scores))
+    try:
+        for row in reader:
+            try:
+                scores[row["id"]] = (float(row["s_ans"]), float(row["s_gra"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise files.line_error(args.scores, reader.line_num, exc) from exc
+    except csv.Error as exc:  # an over-long field, say
+        # DictReader.line_num counts only rows that parsed; its reader counts each line
+        raise files.line_error(args.scores, reader.reader.line_num, exc) from exc
     annotations = list(corpus.read_jsonl(
         args.annotations,
         lambda obj: qaeval.AnnotationRecord(

@@ -241,30 +241,23 @@ def dataset_stats(examples: list[PreparedExample]) -> DatasetStats:
 # -- wire formats ------------------------------------------------------------
 
 
-def row_error(path: str, line: int, exc: Exception) -> ValueError:
-    """The error for a malformed input row, naming the file and the line."""
-    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-    return ValueError(f"{path}:{line}: {reason}")
-
-
 def read_jsonl(path: str, build: Callable[[dict], T]) -> Iterator[T]:
     """Yield `build(obj)` for each JSON object line of a file; blank lines
     are skipped. A line that is not UTF-8, not JSON, not an object, or that
     `build` rejects with a KeyError, TypeError or ValueError raises a
     ValueError that starts with `path:line`."""
-    with open(path, "rb") as f:
-        for n, raw in enumerate(f, 1):
-            try:
-                line = raw.decode("utf-8").strip()
-                if not line:
-                    continue
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
-                item = build(obj)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise row_error(path, n, exc) from exc
-            yield item
+    for n, line in enumerate(files.read_lines(path), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+            item = build(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise files.line_error(path, n, exc) from exc
+        yield item
 
 
 def text_field(obj: dict, key: str, default: str | None = None) -> str:
@@ -276,13 +269,25 @@ def text_field(obj: dict, key: str, default: str | None = None) -> str:
 
 
 def _raw_record(obj: dict) -> RawRecord:
+    """One nq record: `p_tag` must be a JSON boolean (true when absent) and
+    `short_spans` a list of [start, end] pairs of JSON integers."""
+    rid = str(obj["id"])
+    p_tag = obj.get("p_tag", True)
+    if type(p_tag) is not bool:
+        raise TypeError(f"record {rid}: field 'p_tag' must be true or false")
+    spans = obj.get("short_spans", [])
+    if not isinstance(spans, list) or any(
+        not isinstance(span, list) or len(span) != 2 or any(type(i) is not int for i in span)
+        for span in spans
+    ):
+        raise TypeError(f"record {rid}: field 'short_spans' must be a list of integer pairs")
     return RawRecord(
-        id=str(obj["id"]),
+        id=rid,
         title=text_field(obj, "title", ""),
         question=text_field(obj, "question", ""),
         context=text_field(obj, "context"),
-        short_spans=[(int(s), int(e)) for s, e in obj.get("short_spans", [])],
-        starts_with_paragraph_tag=bool(obj.get("p_tag", True)),
+        short_spans=[(s, e) for s, e in spans],
+        starts_with_paragraph_tag=p_tag,
     )
 
 

@@ -9,8 +9,9 @@ process never blocks a later write. No fsync: this rules out torn files,
 not loss on power failure. Text is UTF-8 with bare newlines; JSON is
 indented and key-sorted, JSONL one key-sorted object a line.
 
-`read_text` is the one reader of a whole text input: a byte that is not
-UTF-8 fails with the file and line named.
+One reader and one writer: `read_lines` reads every text input a line at a
+time, and `replacing` writes every artifact. `line_error` is the one place
+that names `path:line` for an input line that fails.
 """
 
 from __future__ import annotations
@@ -48,16 +49,22 @@ def replacing(path: str, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-def read_text(path: str) -> str:
-    """The UTF-8 text of a file; a byte that is not UTF-8 raises a ValueError
-    that starts with `path:line`."""
+def line_error(path: str, line: int, exc: Exception) -> ValueError:
+    """The error for a malformed input line, naming the file and the line."""
+    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return ValueError(f"{path}:{line}: {reason}")
+
+
+def read_lines(path: str) -> Iterator[str]:
+    """Each line of a UTF-8 file, its line feed kept, one at a time. Lines
+    split at line feeds only; a line that is not UTF-8 raises `line_error`."""
     with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValueError(f"{path}:{line}: {exc}") from None
+        for n, raw in enumerate(f, 1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise line_error(path, n, exc) from None
+            yield line
 
 
 def write_json(path: str, obj) -> None:

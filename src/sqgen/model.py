@@ -120,95 +120,73 @@ class DecoderStepOutput:
     final_dist: np.ndarray
 
 
-class ParamBuilder:
-    """Named parameters drawn from one seeded generator in call order:
-    N(0, 0.02) weights, zero biases, unit LN gains. `block` is the post-norm
-    transformer block that `_block` runs: attn, ln1, ffn, ln2.
-
-    Creation order is fixed, so a given seed always yields the same bytes.
-    Every name's shape is recorded in `shapes`; with `seed=None` only the
-    shapes are, and no array is made and no random number drawn.
-    """
-
-    def __init__(self, seed: int | None, d_model: int, ffn_dim: int):
-        self.rng = None if seed is None else np.random.default_rng(seed)
-        self.d, self.f = d_model, ffn_dim
-        self.params: dict[str, Tensor] = {}
-        self.shapes: dict[str, tuple[int, ...]] = {}
-
-    def _add(self, name: str, shape: tuple[int, ...], make) -> None:
-        self.shapes[name] = shape
-        if self.rng is not None:
-            self.params[name] = Tensor(make(shape), requires_grad=True)
-
-    def w(self, name: str, shape: tuple[int, ...]) -> None:
-        self._add(name, shape, lambda s: self.rng.normal(0.0, 0.02, s))
-
-    def b(self, name: str, shape: tuple[int, ...]) -> None:
-        self._add(name, shape, np.zeros)
-
-    def ln(self, prefix: str) -> None:
-        self._add(f"{prefix}.g", (self.d,), np.ones)
-        self._add(f"{prefix}.b", (self.d,), np.zeros)
-
-    def attn(self, prefix: str) -> None:
-        for part in ("wq", "wk", "wv", "wo"):
-            self.w(f"{prefix}.{part}", (self.d, self.d))
-        for part in ("bq", "bk", "bv", "bo"):
-            self.b(f"{prefix}.{part}", (self.d,))
-
-    def ffn(self, prefix: str) -> None:
-        self.w(f"{prefix}.w1", (self.d, self.f))
-        self.b(f"{prefix}.b1", (self.f,))
-        self.w(f"{prefix}.w2", (self.f, self.d))
-        self.b(f"{prefix}.b2", (self.d,))
-
-    def block(self, prefix: str) -> None:
-        self.attn(f"{prefix}.attn")
-        self.ln(f"{prefix}.ln1")
-        self.ffn(f"{prefix}.ffn")
-        self.ln(f"{prefix}.ln2")
-
-
 def init_params(config: ModelConfig, seed: int = 0) -> dict[str, Tensor]:
-    """Fresh parameters for `config`, seeded (see `ParamBuilder`)."""
-    return _build_params(config, seed).params
+    """Fresh parameters for `config`, made in `param_shapes` order from one
+    seeded generator: N(0, 0.02) matrices, unit layer-norm gains, zero biases.
+    The order is fixed, so a given seed always yields the same bytes."""
+    rng = np.random.default_rng(seed)
+    params: dict[str, Tensor] = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            data = rng.normal(0.0, 0.02, shape)
+        else:
+            data = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The name and shape of every parameter `config` has, in creation order."""
-    return _build_params(config, None).shapes
+    """The name and shape of every parameter `config` has, in creation order.
+    Matrices are 2-D; biases and layer-norm gains (`.g`) are 1-D. `block` is
+    the post-norm transformer block that `_block` runs: attn, ln1, ffn, ln2."""
+    d, f, v = config.d_model, config.ffn_dim, config.vocab_size
+    shapes: dict[str, tuple[int, ...]] = {}
 
+    def attn(prefix: str) -> None:
+        for part in ("wq", "wk", "wv", "wo"):
+            shapes[f"{prefix}.{part}"] = (d, d)
+        for part in ("bq", "bk", "bv", "bo"):
+            shapes[f"{prefix}.{part}"] = (d,)
 
-def _build_params(config: ModelConfig, seed: int | None) -> ParamBuilder:
-    p = ParamBuilder(seed, config.d_model, config.ffn_dim)
-    d = config.d_model
-    p.w("enc.word_emb", (config.vocab_size, d))
-    p.w("enc.pos_emb", (config.max_context, d))
+    def ln(prefix: str) -> None:
+        shapes.update({f"{prefix}.g": (d,), f"{prefix}.b": (d,)})
+
+    def ffn(prefix: str) -> None:
+        shapes.update({f"{prefix}.w1": (d, f), f"{prefix}.b1": (f,),
+                       f"{prefix}.w2": (f, d), f"{prefix}.b2": (d,)})
+
+    def block(prefix: str) -> None:
+        attn(f"{prefix}.attn")
+        ln(f"{prefix}.ln1")
+        ffn(f"{prefix}.ffn")
+        ln(f"{prefix}.ln2")
+
+    shapes["enc.word_emb"] = (v, d)
+    shapes["enc.pos_emb"] = (config.max_context, d)
     if config.use_type_ids:
-        p.w("enc.type_emb", (2, d))
+        shapes["enc.type_emb"] = (2, d)
     for i in range(config.encoder_layers):
-        p.block(f"enc.b{i}")
+        block(f"enc.b{i}")
 
-    p.w("dec.word_emb", (config.vocab_size, d))
-    p.w("dec.pos_emb", (config.max_question + 1, d))
+    shapes["dec.word_emb"] = (v, d)
+    shapes["dec.pos_emb"] = (config.max_question + 1, d)
     for i in range(config.decoder_lm_layers):
-        p.block(f"lm.b{i}")
+        block(f"lm.b{i}")
 
     for i in range(config.cross_layers):
-        p.attn(f"cross.b{i}.self")
-        p.ln(f"cross.b{i}.ln1")
-        p.attn(f"cross.b{i}.xattn")
-        p.ln(f"cross.b{i}.ln2")
-        p.ffn(f"cross.b{i}.ffn")
-        p.ln(f"cross.b{i}.ln3")
+        attn(f"cross.b{i}.self")
+        ln(f"cross.b{i}.ln1")
+        attn(f"cross.b{i}.xattn")
+        ln(f"cross.b{i}.ln2")
+        ffn(f"cross.b{i}.ffn")
+        ln(f"cross.b{i}.ln3")
 
-    p.w("out.w", (d, config.vocab_size))
-    p.b("out.b", (config.vocab_size,))
+    shapes["out.w"] = (d, v)
+    shapes["out.b"] = (v,)
     if config.use_pointer:
-        p.w("gate.w", (2 * d, 1))
-        p.b("gate.b", (1,))
-    return p
+        shapes["gate.w"] = (2 * d, 1)
+        shapes["gate.b"] = (1,)
+    return shapes
 
 
 def _self_attention(params, prefix: str, x: Tensor, n_heads: int, mask=None, past=None):

@@ -304,7 +304,7 @@ def load_vocab(path: str) -> Vocab:
     one id; the check keeps no table, so `id_of` is still built on first
     use."""
     try:
-        lines = files.read_text(path).splitlines()
+        lines = [line.rstrip("\r\n") for line in files.read_lines(path)]
     except ValueError as exc:
         raise InvalidCorpus(str(exc)) from None
     # Token lines hold no space and merge lines always do, so the sentinel is

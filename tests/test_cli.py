@@ -1052,6 +1052,52 @@ def test_malformed_scores_row_exits_2_naming_file_and_line(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {scores}:3: ")
 
 
+def test_over_long_scores_field_exits_2_naming_file_and_line(tmp_path, capsys):
+    scores = tmp_path / "scores_long.csv"
+    scores.write_text('id,s_ans,s_gra,model_tag\n"' + "x" * 200_000 + '",5.0,1.0,toy\n',
+                      encoding="utf-8")
+    annotations = tmp_path / "ann.jsonl"
+    write_span_annotations(annotations, {"hi": True, "lo": False})
+    capsys.readouterr()
+    assert cli.main(
+        ["eval", "correlate", "--scores", str(scores), "--annotations", str(annotations),
+         "--output", str(tmp_path / "corr.json")]
+    ) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {scores}:2: field larger than field limit")
+    assert "Traceback" not in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.jsonl", "scores_long.csv"]
+
+
+# Each maps a good nq record to one whose `p_tag` or `short_spans` is not the
+# JSON type the reader takes.
+NQ_TYPE_DEFECTS = {
+    "p_tag_string": lambda rec: dict(rec, p_tag="false"),
+    "p_tag_null": lambda rec: dict(rec, p_tag=None),
+    "span_floats": lambda rec: dict(rec, short_spans=[[0.9, 5.7]]),
+    "span_bool": lambda rec: dict(rec, short_spans=[[True, 5]]),
+    "span_strings": lambda rec: dict(rec, short_spans=[["0", "5"]]),
+}
+
+
+@pytest.mark.parametrize("kind", ["nq", "build-vocab nq"])
+@pytest.mark.parametrize("defect", list(NQ_TYPE_DEFECTS))
+def test_nq_record_takes_only_json_types_for_p_tag_and_spans(
+    kind, defect, workspace, tmp_path, capsys
+):
+    good, _, argv = malformed_case(kind, workspace, tmp_path)
+    bad = NQ_TYPE_DEFECTS[defect](good)
+    path = tmp_path / "in.jsonl"
+    path.write_text(json.dumps(good) + "\n\n" + json.dumps(bad) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    field = "p_tag" if defect.startswith("p_tag") else "short_spans"
+    assert err.startswith(f"error: {path}:3: record {good['id']}: field '{field}' must be ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
 # Each defect maps the good file's lines to (line number, bad line): the bad
 # line replaces that line, or is appended when the number is one past the end.
 VOCAB_DEFECTS = {
@@ -1101,6 +1147,16 @@ def test_non_utf8_text_corpus_exits_2_naming_file_and_line(tmp_path, capsys):
     assert err.splitlines()[0].startswith(f"error: {corpus_txt}:2: ")
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.txt"]
+
+
+def test_crlf_text_corpus_builds_the_same_vocab(workspace, tmp_path):
+    crlf = tmp_path / "corpus_crlf.txt"
+    crlf.write_bytes(open(workspace["corpus"], "rb").read().replace(b"\n", b"\r\n"))
+    out = str(tmp_path / "v.txt")
+    assert cli.main(
+        ["build-vocab", "--kind", "text", "--input", str(crlf), "--output", out, "--size", "120"]
+    ) == cli.EXIT_OK
+    assert open(out, "rb").read() == open(workspace["vocab"], "rb").read()
 
 
 def test_non_utf8_scores_csv_exits_2_naming_file_and_line(tmp_path, capsys):

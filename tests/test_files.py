@@ -3,9 +3,16 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import interrupt_writes, temp_files
 from sqgen import files
+
+# Lines holding what a splitter might take for a line end, or not: a carriage
+# return, a space, the word mark and a two-byte letter; empty lines too.
+_lines = st.lists(st.text(st.sampled_from(["a", "\r", " ", "\u2581", "\u00e9"]), max_size=6),
+                  max_size=8)
 
 
 def test_writes_the_formats_every_artifact_shares(tmp_path):
@@ -65,3 +72,34 @@ def test_interrupted_binary_write_keeps_the_old_bytes(tmp_path, monkeypatch):
             f.write(b"more")
     assert target.read_bytes() == b"old"
     assert temp_files(tmp_path) == []
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_lines, final_newline=st.booleans())
+def test_read_lines_joins_back_to_the_file(tmp_path, lines, final_newline):
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    path = tmp_path / "in.txt"
+    path.write_bytes(text.encode("utf-8"))
+    got = list(files.read_lines(str(path)))
+    assert "".join(got) == text
+    assert all(line.endswith("\n") for line in got[:-1])
+    assert all("\n" not in line[:-1] for line in got)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=_lines.filter(bool), data=st.data())
+def test_read_lines_names_the_line_that_is_not_utf8(tmp_path, lines, data):
+    raw = [line.encode("utf-8") for line in lines]
+    k = data.draw(st.integers(1, len(raw)), label="k")
+    at = data.draw(st.integers(0, len(raw[k - 1])), label="at")
+    raw[k - 1] = raw[k - 1][:at] + b"\xff" + raw[k - 1][at:]
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\n".join(raw) + b"\n")
+    read = []
+    with pytest.raises(ValueError) as err:
+        for line in files.read_lines(str(path)):
+            read.append(line)
+    assert str(err.value).startswith(f"{path}:{k}: ")
+    assert read == [line + "\n" for line in lines[: k - 1]]

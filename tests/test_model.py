@@ -450,3 +450,18 @@ class TestCheckpoints:
         assert params_digest(params) == (
             "df4c4089138b2ee2943e980cf146c0036571eb201be83b46a4d914b4e51282e5"
         )
+
+    @pytest.mark.parametrize("overrides, count, digest", [
+        ({"use_pointer": False}, 65,
+         "f3a062bfc384ac12b3067fff045fbdb7d89c875eff4b4989d326b1ecf33fc4dc"),
+        ({"use_type_ids": False}, 66,
+         "4e3d342f1328970a1c5757d4ef14bdc06c691f2582e97c1b18b5aff0520cb4cb"),
+        ({"decoder_lm_layers": 0}, 51,
+         "fa3fa928a1a8a4d1ed56cfe200e9e5d581064c6d8d32e87ac1756eea214e542c"),
+        ({"encoder_layers": 0, "ffn_dim": 24}, 51,
+         "3f674757d9dd22f442885faafa36ba7b9b65f5484bcb01306b83757e3dbd8db9"),
+    ])
+    def test_seeded_init_bytes_of_each_variant_are_pinned(self, overrides, count, digest):
+        params = init_params(ModelConfig(**{**TOY, **overrides}), seed=9)
+        assert len(params) == count
+        assert params_digest(params) == digest

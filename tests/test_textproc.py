@@ -252,6 +252,15 @@ class TestSaveLoad:
         text = "the capital of france"
         assert encode(text, loaded) == encode(text, tiny_vocab)
 
+    def test_crlf_copy_loads_the_same_vocab(self, tiny_vocab, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocab(tiny_vocab, str(path))
+        crlf = tmp_path / "vocab_crlf.txt"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        loaded = load_vocab(str(crlf))
+        assert loaded.tokens == tiny_vocab.tokens
+        assert loaded.merges == tiny_vocab.merges
+
     def test_token_spelled_like_the_sentinel_round_trips(self, tmp_path):
         vocab = Vocab(
             tokens=list(textproc.SPECIAL_TOKENS) + ["#", "M", "#M", "#MERGES", "ERGES"],
