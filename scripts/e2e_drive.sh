@@ -8,16 +8,22 @@
 # eval gen / eval qa / build-vocab from the nq and news records / eval
 # correlate, asserting exit codes and artifacts. The vocabulary is built a
 # second time from a CRLF copy of the corpus, which must give the same bytes.
+# Run from a checkout, every manifest must name that checkout's version.
 # Finishes in well under a minute on a laptop.
 set -eu
 
 # From a checkout without an installed `sqgen`, run the package in src/.
+# Its manifests must then record the checkout's `git describe`, though every
+# command runs in the scratch directory below.
+EXPECT_GIT=""
 if ! command -v sqgen >/dev/null 2>&1; then
     REPO="$(cd "$(dirname "$0")/.." && pwd)"
     PYTHONPATH="$REPO/src${PYTHONPATH:+:$PYTHONPATH}"
     export PYTHONPATH
     sqgen() { python3 -m sqgen.cli "$@"; }
+    EXPECT_GIT="$(git -C "$REPO" describe --always --dirty 2>/dev/null || true)"
 fi
+export EXPECT_GIT
 
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
@@ -232,9 +238,9 @@ ratios = json.load(open("unanimity.json", encoding="utf-8"))
 assert ratios["span"]["n_unanimous"] == 2, ratios
 EOF
 
-echo "== every manifest records a numeric wall time and peak RSS"
+echo "== every manifest records a numeric wall time, peak RSS and the code version"
 python3 -c '
-import glob, json
+import glob, json, os
 paths = sorted(glob.glob("**/*.manifest.json", recursive=True))
 assert len(paths) == 18, paths
 for added in ("vocab_crlf.txt.manifest.json", "run_split/train.manifest.json",
@@ -247,6 +253,8 @@ for path in paths:
     for key in ("wall_seconds", "peak_rss_mb"):
         value = manifest[key]
         assert isinstance(value, (int, float)) and value > 0, (path, key, value)
+    if os.environ["EXPECT_GIT"]:
+        assert manifest["git"] == os.environ["EXPECT_GIT"], (path, manifest["git"])
 '
 
 echo "== no write left a temporary file behind"

@@ -39,8 +39,9 @@ from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable
 
 # Pure-Python modules only: a command that needs `numerics`, `model`,
-# `training` or `decoding` (and so NumPy), or `qaeval`, imports it in its body.
-from . import corpus, files, genmetrics, textproc
+# `training` or `decoding` (and so NumPy), `qaeval` or `genmetrics`, imports it
+# in its body.
+from . import corpus, files, textproc
 
 if TYPE_CHECKING:
     from .model import ModelConfig
@@ -51,12 +52,15 @@ EXIT_NUMERIC = 3
 
 
 def _git_describe() -> str:
+    """`git describe` of the checkout this code runs from, whatever the
+    working directory; "unknown" when it is not in one."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
             capture_output=True,
             text=True,
             timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)),
         )
         return out.stdout.strip() or "unknown"
     except (OSError, subprocess.SubprocessError):
@@ -357,6 +361,8 @@ def cmd_generate(args: argparse.Namespace) -> Done:
 
 
 def _eval_gen(args: argparse.Namespace) -> Done:
+    from . import genmetrics
+
     vocab = textproc.load_vocab(args.vocab)
     cands = corpus.read_jsonl(args.candidates, _question_row)
     prepared = corpus.read_prepared(args.references)
@@ -387,14 +393,8 @@ def _eval_gen(args: argparse.Namespace) -> Done:
     files.write_json(args.output, payload)
     if args.per_example:
         files.write_csv(args.per_example, ["id", "bleu1", "bleu4", "rouge_l", "meteor_lite"], (
-            [
-                rid,
-                genmetrics.bleu([cand], [refs], max_n=1) * 100.0,
-                genmetrics.bleu([cand], [refs], max_n=4) * 100.0,
-                rouge * 100.0,
-                meteor * 100.0,
-            ]
-            for rid, cand, refs, (rouge, meteor) in zip(ids, candidates, references, report.each)
+            [rid, bleu1 * 100.0, bleu4 * 100.0, rouge * 100.0, meteor * 100.0]
+            for rid, (bleu1, bleu4), (rouge, meteor) in zip(ids, report.each_bleu, report.each)
         ))
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return Done(

@@ -37,10 +37,58 @@ class MetricReport:
     meteor_lite: float
     n_examples: int
     each: list[tuple[float, float]] = field(default_factory=list)  # per example (rouge_l, meteor_lite)
+    each_bleu: list[tuple[float, float]] = field(default_factory=list)  # per example (bleu1, bleu4)
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _bleu_counts(
+    cand: list[str], refs: list[list[str]], max_n: int
+) -> tuple[list[int], list[int], int, int]:
+    """One example's clipped and total n-gram counts for orders 1..max_n,
+    its length, and its reference length: the closest reference length,
+    ties to the shorter."""
+    clipped = [0] * max_n
+    totals = [0] * max_n
+    ref_len = min((len(r) for r in refs), key=lambda L: (abs(L - len(cand)), L))
+    for n in range(1, max_n + 1):
+        counts = _ngrams(cand, n)
+        if not counts:
+            break  # no longer order has any either
+        max_ref: Counter = Counter()
+        for ref in refs:
+            for gram, c in _ngrams(ref, n).items():
+                if c > max_ref[gram]:
+                    max_ref[gram] = c
+        totals[n - 1] = sum(counts.values())
+        clipped[n - 1] = sum(min(c, max_ref[gram]) for gram, c in counts.items())
+    return clipped, totals, len(cand), ref_len
+
+
+def _pooled_bleu(counts: list[tuple[list[int], list[int], int, int]], max_n: int) -> float:
+    """BLEU up to order max_n from the summed `_bleu_counts` of examples."""
+    clipped = [sum(c[n] for c, _, _, _ in counts) for n in range(max_n)]
+    totals = [sum(t[n] for _, t, _, _ in counts) for n in range(max_n)]
+    cand_len = sum(length for _, _, length, _ in counts)
+    ref_len = sum(closest for _, _, _, closest in counts)
+    if cand_len == 0:
+        return 0.0
+    log_sum = 0.0
+    for n in range(max_n):
+        if totals[n] == 0 or clipped[n] == 0:
+            return 0.0
+        log_sum += math.log(clipped[n] / totals[n]) / max_n
+    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
+    return bp * math.exp(log_sum)
+
+
+def _check_pairs(candidates: list, references: list) -> None:
+    if not candidates or len(candidates) != len(references):
+        raise InvalidInput(
+            f"{len(candidates)} candidates vs {len(references)} reference groups"
+        )
 
 
 def bleu(
@@ -53,44 +101,11 @@ def bleu(
     Zero if any order's precision is zero. The brevity penalty's reference
     length is the closest reference length per example, ties to the shorter.
     """
-    if not candidates or len(candidates) != len(references):
-        raise InvalidInput(
-            f"{len(candidates)} candidates vs {len(references)} reference groups"
-        )
+    _check_pairs(candidates, references)
     if any(not group for group in references):
         raise InvalidInput("every candidate needs at least one reference")
-
-    clipped = [0] * max_n
-    totals = [0] * max_n
-    cand_len = 0
-    ref_len = 0
-    for cand, refs in zip(candidates, references):
-        cand_len += len(cand)
-        ref_len += min(
-            (len(r) for r in refs),
-            key=lambda L: (abs(L - len(cand)), L),
-        )
-        for n in range(1, max_n + 1):
-            counts = _ngrams(cand, n)
-            if not counts:
-                continue
-            max_ref: Counter = Counter()
-            for ref in refs:
-                for gram, c in _ngrams(ref, n).items():
-                    if c > max_ref[gram]:
-                        max_ref[gram] = c
-            totals[n - 1] += sum(counts.values())
-            clipped[n - 1] += sum(min(c, max_ref[gram]) for gram, c in counts.items())
-
-    if cand_len == 0:
-        return 0.0
-    log_sum = 0.0
-    for n in range(max_n):
-        if totals[n] == 0 or clipped[n] == 0:
-            return 0.0
-        log_sum += math.log(clipped[n] / totals[n]) / max_n
-    bp = 1.0 if cand_len > ref_len else math.exp(1.0 - ref_len / cand_len)
-    return bp * math.exp(log_sum)
+    counts = [_bleu_counts(cand, refs, max_n) for cand, refs in zip(candidates, references)]
+    return _pooled_bleu(counts, max_n)
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
@@ -228,23 +243,25 @@ def corpus_report(
     candidates: list[list[str]], references: list[list[list[str]]]
 ) -> MetricReport:
     """BLEU at corpus level; ROUGE-L / METEOR-lite averaged per example with
-    the best reference taken for each."""
-    if not candidates or len(candidates) != len(references):
-        raise InvalidInput(
-            f"{len(candidates)} candidates vs {len(references)} reference groups"
-        )
+    the best reference taken for each. Each example's n-grams are counted
+    once: corpus BLEU-1/4 come from the summed counts, and each example's
+    BLEU-1/4 (`each_bleu`) from its own, so both equal what `bleu` gives."""
+    _check_pairs(candidates, references)
     each: list[tuple[float, float]] = []
+    counts = []
     rouge_sum = meteor_sum = 0.0  # summed in order: sum() compensates from Python 3.12 on
     for cand, refs in zip(candidates, references):
         each.append((rouge_l(cand, refs), max(meteor_lite(cand, ref) for ref in refs)))
         rouge_sum += each[-1][0]
         meteor_sum += each[-1][1]
+        counts.append(_bleu_counts(cand, refs, 4))
     n = len(candidates)
     return MetricReport(
-        bleu1=bleu(candidates, references, max_n=1),
-        bleu4=bleu(candidates, references, max_n=4),
+        bleu1=_pooled_bleu(counts, 1),
+        bleu4=_pooled_bleu(counts, 4),
         rouge_l=rouge_sum / n,
         meteor_lite=meteor_sum / n,
         n_examples=n,
         each=each,
+        each_bleu=[(_pooled_bleu([c], 1), _pooled_bleu([c], 4)) for c in counts],
     )

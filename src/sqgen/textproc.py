@@ -12,11 +12,12 @@ after its first character.
 
 Training reads its corpus once, as a stream of lines, and keeps only the
 word types: each one's count and current symbols, each pair's count, and an
-append-only list per pair of the words that took it on. Stale entries in
-those lists are skipped when the pair is merged, not removed as they go
-stale; a list goes whole once no word holds its pair. The lazy heap of
-candidate merges is rebuilt once it holds more than twice as many entries
-as there are live pairs.
+append-only list per pair of the words that took it on. A merge rewrites
+only the words listed for its pair, and in each only the pairs that touch a
+merge site change count. Stale entries in those lists are skipped when the
+pair is merged, not removed as they go stale; a list goes whole once no word
+holds its pair. The lazy heap of candidate merges is rebuilt once it holds
+more than twice as many entries as there are live pairs.
 """
 
 from __future__ import annotations
@@ -137,8 +138,16 @@ def train_vocab(corpus: Iterable[str], target_size: int = DEFAULT_VOCAB_SIZE) ->
     A word is appended to a pair's list only when it newly holds the pair,
     and no word is ever removed from a list: a merge rewrites the listed
     words in id order and skips any that no longer hold the pair. A list
-    goes whole when its pair is merged or its count falls to zero. A rewrite
-    changes only the counts of the pairs whose number in the word changed.
+    goes whole when its pair is merged or its count falls to zero.
+
+    A rewrite touches only the merge sites. Merging (a, b) into ab at a site
+    between symbols left and right takes the word's count from (left, a),
+    (a, b) and (b, right) and gives it to (left, ab) and (ab, right); two
+    sites side by side ("a b a b") share their middle pair, which is counted
+    once. A word already holding the symbol ab (("x", "yz") and ("xy", "z")
+    both spell "xyz") may already hold a pair it gains, and is then not
+    listed again. A word with one site, the common case, is rewritten by
+    slicing, with no Python loop over its symbols.
 
     The merge is chosen from a lazy max-heap of (-count, merged string,
     pair): an entry whose count is out of date is popped when it reaches the
@@ -146,9 +155,10 @@ def train_vocab(corpus: Iterable[str], target_size: int = DEFAULT_VOCAB_SIZE) ->
     A rewrite pushes each pair whose count it raised; every other count can
     only fall. When the heap holds more than twice as many entries as there
     are live pairs, it is rebuilt from the live counts. Training costs
-    O(P log P) heap work for P pushed pairs plus, per merge, the rewrite of
-    the words listed for the chosen pair, instead of a scan over every pair
-    on every merge.
+    O(P log P) heap work for P pushed pairs plus, per merge, a constant
+    number of count updates per site in the words listed for the chosen
+    pair, instead of a scan over every pair on every merge or a recount of
+    every pair of each rewritten word.
     """
     word_counts = _word_counts(corpus)
     words: list[tuple[str, ...]] = []
@@ -202,37 +212,67 @@ def train_vocab(corpus: Iterable[str], target_size: int = DEFAULT_VOCAB_SIZE) ->
         raised: set[tuple[str, str]] = set()
         for wi in sorted(set(pair_words.pop(best))):
             w = words[wi]
-            new_w: list[str] = []
-            j = 0
-            while j < len(w):
-                if j + 1 < len(w) and w[j] == a and w[j + 1] == b:
-                    new_w.append(merged)
-                    j += 2
-                else:
-                    new_w.append(w[j])
-                    j += 1
-            if len(new_w) == len(w):
+            n = len(w)
+            try:
+                j = w.index(a)
+            except ValueError:
                 continue  # an earlier merge took the pair from this word
-            words[wi] = tuple(new_w)
+            lost: list[tuple[str, str]] = []
+            gained: list[tuple[str, str]] = []
+            if j + 1 < n and w[j + 1] == b and a not in w[j + 2 :]:  # the one site
+                lost.append(best)
+                if j:
+                    lost.append((w[j - 1], a))
+                    gained.append((w[j - 1], merged))
+                if j + 2 < n:
+                    lost.append((b, w[j + 2]))
+                    gained.append((merged, w[j + 2]))
+                new_w = w[:j] + (merged,) + w[j + 2 :]
+            else:
+                # Sites left to right; of two side by side ("a b a b"), the
+                # second's left pair is the first's right pair, counted once.
+                out = list(w[:j])
+                end = -1  # just past the last site
+                while j < n:
+                    x = w[j]
+                    if x == a and j + 1 < n and w[j + 1] == b:
+                        lost.append(best)
+                        if j:
+                            lost.append((w[j - 1], a))
+                            gained.append((out[-1], merged))
+                        out.append(merged)
+                        j += 2
+                        end = j
+                    else:
+                        if j == end:
+                            lost.append((b, x))
+                            gained.append((merged, x))
+                        out.append(x)
+                        j += 1
+                if end < 0:
+                    continue
+                new_w = tuple(out)
+            words[wi] = new_w
             f = freqs[wi]
-            old = Counter(zip(w, w[1:]))
-            new = Counter(zip(new_w, new_w[1:]))
-            for pair, n in old.items():
-                fell = n - new[pair]
-                if fell > 0:
-                    left = pair_freq[pair] - fell * f
-                    if left:
-                        pair_freq[pair] = left
-                    else:  # no word holds the pair, so its whole list is stale
-                        del pair_freq[pair]
-                        pair_words.pop(pair, None)
-            for pair, n in new.items():
-                rose = n - old[pair]
-                if rose > 0:
-                    pair_freq[pair] = pair_freq.get(pair, 0) + rose * f
-                    raised.add(pair)
-                    if not old[pair]:
-                        pair_words.setdefault(pair, []).append(wi)
+            # Only a word that already held the merged symbol can have held
+            # a gained pair; such a word is listed for it already.
+            held = set(zip(w, w[1:])) if merged in w else ()
+            for pair in gained:  # before the losses, so no count dips to zero
+                pair_freq[pair] = pair_freq.get(pair, 0) + f
+                raised.add(pair)
+                if pair not in held:
+                    holders = pair_words.get(pair)
+                    if holders is None:
+                        pair_words[pair] = [wi]
+                    elif holders[-1] != wi:
+                        holders.append(wi)
+            for pair in lost:
+                left = pair_freq[pair] - f
+                if left:
+                    pair_freq[pair] = left
+                else:  # no word holds the pair, so its whole list is stale
+                    del pair_freq[pair]
+                    pair_words.pop(pair, None)
         for pair in raised:
             heapq.heappush(heap, (-pair_freq[pair], pair[0] + pair[1], pair))
         if len(heap) > 2 * len(pair_freq):
@@ -302,11 +342,27 @@ def load_vocab(path: str) -> Vocab:
     naming `path:line`. Lines 1-4 must be the specials in id order, and no
     token line may hold a space or repeat an earlier one, so each token has
     one id; the check keeps no table, so `id_of` is still built on first
-    use."""
+    use. The file is decoded whole; only a file that is not UTF-8 is read
+    again a line at a time, to name the line."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        lines = [line.rstrip("\r\n") for line in files.read_lines(path)]
-    except ValueError as exc:
-        raise InvalidCorpus(str(exc)) from None
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        try:
+            for _ in files.read_lines(path):
+                pass
+        except ValueError as exc:
+            raise InvalidCorpus(str(exc)) from None
+        raise
+    del data
+    # The lines `files.read_lines` would give, with their line ends stripped.
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if "\r" in text:
+        lines = [line.rstrip("\r") for line in lines]
+    del text
     # Token lines hold no space and merge lines always do, so the sentinel is
     # the last such line even when a learned token is spelled like it.
     if MERGE_SENTINEL not in lines:

@@ -4,7 +4,9 @@ import argparse
 import csv
 import json
 import math
+import os
 import re
+import subprocess
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -128,6 +130,22 @@ class TestBuildVocab:
         assert manifest["settings"]["size"] == 120
         assert "started_utc" in manifest
         assert isinstance(manifest["peak_rss_mb"], float) and manifest["peak_rss_mb"] > 0.0
+
+    def test_manifest_git_is_the_code_version_from_any_directory(self, tmp_path, monkeypatch):
+        package = os.path.dirname(os.path.abspath(cli.__file__))
+        try:
+            done = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=package,
+                                  capture_output=True, text=True, timeout=30)
+        except OSError:
+            pytest.skip("no git")
+        if done.returncode != 0:
+            pytest.skip("the code is not in a git checkout")
+        (tmp_path / "corpus.txt").write_text("\n".join(CORPUS_LINES) + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        argv = ["build-vocab", "--input", "corpus.txt", "--output", "vocab.txt", "--size", "60"]
+        assert cli.main(argv) == 0
+        manifest = json.loads((tmp_path / "vocab.txt.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["git"] == done.stdout.strip()
 
     def test_missing_input_exits_2(self, tmp_path):
         rc = cli.main(

@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from helpers import METRIC_SUITE
@@ -218,6 +220,21 @@ class TestCorpusReport:
             meteor_sum += meteor
         assert report.rouge_l == rouge_sum / len(cands)
         assert report.meteor_lite == meteor_sum / len(cands)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_corpus_and_example_bleu_equal_bleu_exactly(self, data):
+        # Few word types make repeated and clipped n-grams; lengths 0-7
+        # include candidates shorter than every order.
+        sentence = st.lists(st.sampled_from("abcd"), max_size=7)
+        cands = data.draw(st.lists(sentence, min_size=1, max_size=5))
+        refs = [data.draw(st.lists(sentence, min_size=1, max_size=3)) for _ in cands]
+        report = corpus_report(cands, refs)
+        assert report.bleu1 == bleu(cands, refs, max_n=1)
+        assert report.bleu4 == bleu(cands, refs, max_n=4)
+        assert report.each_bleu == [
+            (bleu([c], [rs], max_n=1), bleu([c], [rs], max_n=4)) for c, rs in zip(cands, refs)
+        ]
 
     def test_report_is_plain_dataclass(self):
         report = MetricReport(0.1, 0.2, 0.3, 0.4, 5)

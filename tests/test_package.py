@@ -122,6 +122,38 @@ class TestImportBoundary:
         assert out.split("\n") == ["0 False", "0 False", "0 False", "0 False", ""]
 
 
+    def test_only_eval_gen_imports_genmetrics(self, tmp_path):
+        (tmp_path / "corpus.txt").write_text(CORPUS, encoding="utf-8")
+        (tmp_path / "raw.jsonl").write_text(json.dumps(RECORD) + "\n", encoding="utf-8")
+        (tmp_path / "cands.jsonl").write_text(
+            json.dumps({"id": "r1", "question_text": "what is the capital"}) + "\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "news.jsonl").write_text(
+            json.dumps({"id": "r1", "article": "paris is the capital of france",
+                        "highlights": "paris"}) + "\n",
+            encoding="utf-8",
+        )
+        out = run_fresh(
+            """
+            import sys
+            from sqgen import cli
+            for argv in (
+                ["build-vocab", "--input", "corpus.txt", "--output", "vocab.txt", "--size", "60"],
+                ["prepare", "--kind", "nq", "--input", "raw.jsonl", "--output", "prep.jsonl",
+                 "--vocab", "vocab.txt"],
+                ["eval", "qa", "--questions", "cands.jsonl", "--contexts", "news.jsonl",
+                 "--vocab", "vocab.txt", "--output-prefix", "qa"],
+                ["eval", "gen", "--candidates", "cands.jsonl", "--references", "prep.jsonl",
+                 "--vocab", "vocab.txt", "--output", "gen.json"],
+            ):
+                print(cli.main(argv), "sqgen.genmetrics" in sys.modules)
+            """,
+            tmp_path,
+        )
+        assert out.split("\n") == ["0 False", "0 False", "0 False", "0 True", ""]
+
+
 class TestPublicNames:
     @pytest.mark.parametrize("name", [n for n in sqgen.__all__ if n != "__version__"])
     def test_each_name_is_its_submodule_object(self, name):

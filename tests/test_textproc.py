@@ -125,6 +125,23 @@ class TestMergeOrder:
         vocab = train_vocab(lines, target_size=target)
         assert (vocab.tokens, vocab.merges) == oracles.scan_train_vocab(spaced, target)
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_site_rewrites_match_a_full_scan(self, data):
+        # Repeated units put merge sites side by side ("abab", "aaaa"), and
+        # targets up to 400 merge every word whole, so two merges that spell
+        # one token ("a"+"bc", "ab"+"c") meet in one word.
+        unit = st.text(st.sampled_from("abc"), min_size=1, max_size=3)
+        word = st.one_of(
+            st.builds(lambda u, k: u * k, unit, st.integers(1, 5)),
+            st.text(st.sampled_from("abc"), min_size=1, max_size=8),
+        )
+        lines = data.draw(st.lists(st.lists(word, min_size=1, max_size=6).map(" ".join),
+                                   min_size=1, max_size=6))
+        target = data.draw(st.integers(10, 400))
+        vocab = train_vocab(lines, target_size=target)
+        assert (vocab.tokens, vocab.merges) == oracles.scan_train_vocab(lines, target)
+
     def test_word_mark_cannot_respell_a_known_token(self):
         # With the mark read as a letter, "▁a▁▁▁" would start with the symbol
         # "▁▁" that the merge ("▁", "▁") spells again mid-word. Read as a
@@ -139,6 +156,14 @@ class TestMergeOrder:
         save_vocab(train_vocab(zipf_corpus(), target_size=3000), str(path))
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == "6f3c17d28a52efb64a720b57dc8e647b35600cd322b247feca80bb7dcaebfcbe"
+
+    def test_whole_word_vocab_bytes_are_pinned(self, tmp_path):
+        # A target past the last merge, where late merges mostly rewrite one
+        # word each. sha256 as the per-word recount of the parent commit wrote it.
+        path = tmp_path / "vocab.txt"
+        save_vocab(train_vocab(zipf_corpus(), target_size=8000), str(path))
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "8f64036787b29da8393aa593f5eefb01f87a0c055f1ca42035a5d9ace31b1469"
 
 
 class TestEncode:
