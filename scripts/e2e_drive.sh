@@ -273,6 +273,17 @@ grep -q '^error: bad_corpus.txt:2: ' bad.err
 if grep -q Traceback bad.err; then echo "traceback for a non-UTF-8 corpus"; exit 1; fi
 test ! -e bad_vocab.txt
 
+# A corpus with no words fails naming the file, before anything is written.
+printf '\n  \n\t\n' > blank_corpus.txt
+rc=0; sqgen build-vocab --kind text --input blank_corpus.txt --output blank_vocab.txt \
+    > blank.out 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a blank corpus, got $rc"; exit 1; }
+grep -q '^error: blank_corpus.txt: corpus contains no words$' bad.err
+if grep -q Traceback bad.err; then echo "traceback for a blank corpus"; exit 1; fi
+test ! -s blank.out
+test ! -e blank_vocab.txt
+test ! -e blank_vocab.txt.manifest.json
+
 # An id past the csv module's field limit is an input error, not a crash.
 python3 -c '
 print("id,s_ans,s_gra,model_tag")
@@ -344,6 +355,18 @@ grep -q "^error: vocab_dup.txt:7: token .* repeats line 5$" bad.err
 if grep -q Traceback bad.err; then echo "traceback for a repeated token line"; exit 1; fi
 test ! -e gen_dupvocab.jsonl
 test ! -e gen_dupvocab.jsonl.manifest.json
+
+# The vocabulary is decoded whole, yet a token line that is not UTF-8 is
+# named by its line.
+{ head -n 4 vocab.txt; printf '\342\226a\n'; tail -n +6 vocab.txt; } > vocab_bytes.txt
+rc=0; sqgen prepare --kind nq --input raw.jsonl --output bytes_prepared.jsonl \
+    --vocab vocab_bytes.txt > bytes.out 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a non-UTF-8 token line, got $rc"; exit 1; }
+grep -q '^error: vocab_bytes.txt:5: ' bad.err
+if grep -q Traceback bad.err; then echo "traceback for a non-UTF-8 token line"; exit 1; fi
+test ! -s bytes.out
+test ! -e bytes_prepared.jsonl
+test ! -e bytes_prepared.jsonl.manifest.json
 
 # run/best.ckpt has max_question 16, so a decode of up to 17 tokens fits.
 rc=0; sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \

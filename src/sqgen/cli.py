@@ -36,7 +36,7 @@ import subprocess
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Container, Iterable, Iterator
 
 # Pure-Python modules only: a command that needs `numerics`, `model`,
 # `training` or `decoding` (and so NumPy), `qaeval` or `genmetrics`, imports it
@@ -174,9 +174,19 @@ def _given(args: argparse.Namespace, *names: str) -> dict:
     return {n: getattr(args, n) for n in names if getattr(args, n) is not None}
 
 
-def _question_row(obj: dict) -> tuple[str, str]:
-    """(id, question_text) of one row of `generate`'s output format."""
-    return str(obj["id"]), corpus.text_field(obj, "question_text")
+def _question_rows(
+    path: str, known: Container[str], kind: str, missing: str
+) -> Iterator[tuple[str, str]]:
+    """(id, question_text) of each row of `path`, in `generate`'s output
+    format. A row whose id is not in `known` fails naming its line, with
+    the message "<kind> <id> <missing>"."""
+    def row(obj: dict) -> tuple[str, str]:
+        rid, text = str(obj["id"]), corpus.text_field(obj, "question_text")
+        if rid not in known:
+            raise ValueError(f"{kind} {rid} {missing}")
+        return rid, text
+
+    return corpus.read_jsonl(path, row)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -198,7 +208,10 @@ def cmd_build_vocab(args: argparse.Namespace) -> Done:
         )
     else:
         lines = files.read_lines(args.input)
-    vocab = textproc.train_vocab(lines, target_size=size)
+    try:
+        vocab = textproc.train_vocab(lines, target_size=size)
+    except textproc.InvalidCorpus as exc:  # no words in the whole input
+        raise textproc.InvalidCorpus(f"{args.input}: {exc}") from None
     textproc.save_vocab(vocab, args.output)
     print(f"vocab of {len(vocab)} tokens -> {args.output}", file=sys.stderr)
     return Done(args.output, [args.input], [args.output],
@@ -364,10 +377,8 @@ def _eval_gen(args: argparse.Namespace) -> Done:
     from . import genmetrics
 
     vocab = textproc.load_vocab(args.vocab)
-    cands = corpus.read_jsonl(args.candidates, _question_row)
-    prepared = corpus.read_prepared(args.references)
     refs_by_id: dict[str, list[list[str]]] = {}
-    for ex in prepared:
+    for ex in corpus.read_prepared(args.references):
         text = textproc.decode(ex.question_ids, vocab)
         if text:
             refs_by_id.setdefault(ex.id, []).append(genmetrics.tokenize(text))
@@ -375,12 +386,13 @@ def _eval_gen(args: argparse.Namespace) -> Done:
     candidates: list[list[str]] = []
     references: list[list[list[str]]] = []
     ids: list[str] = []
-    for rid, text in cands:
-        if rid not in refs_by_id:
-            raise ValueError(f"candidate {rid} has no reference question")
+    for rid, text in _question_rows(args.candidates, refs_by_id, "candidate",
+                                    f"has no reference question in {args.references}"):
         ids.append(rid)
         candidates.append(genmetrics.tokenize(text))
         references.append(refs_by_id[rid])
+    if not ids:
+        raise ValueError(f"{args.candidates}: no candidate questions")
 
     report = genmetrics.corpus_report(candidates, references)
     payload = {
@@ -408,7 +420,6 @@ def _eval_qa(args: argparse.Namespace) -> Done:
     from . import qaeval
 
     vocab = textproc.load_vocab(args.vocab)
-    questions = corpus.read_jsonl(args.questions, _question_row)
     contexts: dict[str, list[int]] = {}
     for cid, article, highlights in corpus.read_news_records(args.contexts):
         source = corpus.clean_article(article) if args.context_source == "article" else highlights
@@ -417,9 +428,8 @@ def _eval_qa(args: argparse.Namespace) -> Done:
     scorer = qaeval.LexicalOverlapScorer()
     tag = args.model_tag
     rows: list[tuple[str, float, float]] = []
-    for rid, text in questions:
-        if rid not in contexts:
-            raise ValueError(f"question {rid} has no context")
+    for rid, text in _question_rows(args.questions, contexts, "question",
+                                    f"has no context in {args.contexts}"):
         q_ids = textproc.encode(text, vocab)
         scores = qaeval.qa_score(scorer, q_ids, contexts[rid])
         rows.append((rid, scores.answerability, scores.granularity))
@@ -472,7 +482,12 @@ def _eval_correlate(args: argparse.Namespace) -> Done:
             flags={k: bool(v) for k, v in dict(obj["flags"]).items()},
         ),
     ))
-    report = qaeval.correlation_report(scores, annotations)
+    try:
+        report = qaeval.correlation_report(scores, annotations)
+    except qaeval.InvalidAnnotationSet as exc:
+        raise ValueError(f"{args.annotations}: {exc}") from None
+    except qaeval.DegenerateInput as exc:  # too few scored articles, or equal scores
+        raise ValueError(f"{args.scores}: {exc}") from None
     files.write_json(args.output, report)
     if args.unanimity_output:
         ratios = qaeval.unanimity_ratios(annotations)

@@ -12,9 +12,9 @@ indented and key-sorted, JSONL one key-sorted object a line.
 One reader and one writer: `read_lines` reads every text input a line at a
 time, and `replacing` writes every artifact. The vocabulary, read whole on
 every load, is the one exception: `textproc.load_vocab` decodes its bytes
-at once and turns to `read_lines` only to name a line that is not UTF-8.
-`line_error` is the one place that names `path:line` for an input line that
-fails.
+at once, and counts the line feeds before a byte that is not UTF-8 to name
+its line. `line_error` is the one place that names `path:line` for an input
+line that fails.
 """
 
 from __future__ import annotations

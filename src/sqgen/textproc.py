@@ -12,12 +12,13 @@ after its first character.
 
 Training reads its corpus once, as a stream of lines, and keeps only the
 word types: each one's count and current symbols, each pair's count, and an
-append-only list per pair of the words that took it on. A merge rewrites
-only the words listed for its pair, and in each only the pairs that touch a
-merge site change count. Stale entries in those lists are skipped when the
-pair is merged, not removed as they go stale; a list goes whole once no word
-holds its pair. The lazy heap of candidate merges is rebuilt once it holds
-more than twice as many entries as there are live pairs.
+append-only list per pair of the words that took it on, where a word may
+sit twice. A merge rewrites each listed word once, in one scan, and only
+the pairs that touch a merge site change count. Stale entries in those
+lists are skipped when the pair is merged, not removed as they go stale; a
+list goes whole once no word holds its pair. The lazy heap of candidate
+merges is rebuilt once it holds more than twice as many entries as there
+are live pairs.
 """
 
 from __future__ import annotations
@@ -134,20 +135,18 @@ def train_vocab(corpus: Iterable[str], target_size: int = DEFAULT_VOCAB_SIZE) ->
     `corpus` is any iterable of lines, read once: its words are counted as
     the lines arrive, so memory follows the word types, not the corpus.
     Training then holds each word type's count and current symbols, each
-    pair's count, and for each pair a list of the words that took it on.
-    A word is appended to a pair's list only when it newly holds the pair,
-    and no word is ever removed from a list: a merge rewrites the listed
-    words in id order and skips any that no longer hold the pair. A list
-    goes whole when its pair is merged or its count falls to zero.
+    pair's count, and for each pair a list of the words that gained it. No
+    word is ever removed from a list, and a word that already held the
+    merged symbol (("x", "yz") and ("xy", "z") both spell "xyz") may gain a
+    pair it held and be listed twice: a merge rewrites the listed words
+    once each, in id order, and skips any that no longer hold the pair. A
+    list goes whole when its pair is merged or its count falls to zero.
 
-    A rewrite touches only the merge sites. Merging (a, b) into ab at a site
-    between symbols left and right takes the word's count from (left, a),
-    (a, b) and (b, right) and gives it to (left, ab) and (ab, right); two
-    sites side by side ("a b a b") share their middle pair, which is counted
-    once. A word already holding the symbol ab (("x", "yz") and ("xy", "z")
-    both spell "xyz") may already hold a pair it gains, and is then not
-    listed again. A word with one site, the common case, is rewritten by
-    slicing, with no Python loop over its symbols.
+    A rewrite scans the word left to right and touches only the merge
+    sites. Merging (a, b) into ab at a site between symbols left and
+    right takes the word's count from (left, a), (a, b) and (b, right) and
+    gives it to (left, ab) and (ab, right); two sites side by side
+    ("a b a b") share their middle pair, which is counted once.
 
     The merge is chosen from a lazy max-heap of (-count, merged string,
     pair): an entry whose count is out of date is popped when it reaches the
@@ -217,55 +216,40 @@ def train_vocab(corpus: Iterable[str], target_size: int = DEFAULT_VOCAB_SIZE) ->
                 j = w.index(a)
             except ValueError:
                 continue  # an earlier merge took the pair from this word
+            # Sites left to right; of two side by side ("a b a b"), the
+            # second's left pair is the first's right pair, counted once.
             lost: list[tuple[str, str]] = []
             gained: list[tuple[str, str]] = []
-            if j + 1 < n and w[j + 1] == b and a not in w[j + 2 :]:  # the one site
-                lost.append(best)
-                if j:
-                    lost.append((w[j - 1], a))
-                    gained.append((w[j - 1], merged))
-                if j + 2 < n:
-                    lost.append((b, w[j + 2]))
-                    gained.append((merged, w[j + 2]))
-                new_w = w[:j] + (merged,) + w[j + 2 :]
-            else:
-                # Sites left to right; of two side by side ("a b a b"), the
-                # second's left pair is the first's right pair, counted once.
-                out = list(w[:j])
-                end = -1  # just past the last site
-                while j < n:
-                    x = w[j]
-                    if x == a and j + 1 < n and w[j + 1] == b:
-                        lost.append(best)
-                        if j:
-                            lost.append((w[j - 1], a))
-                            gained.append((out[-1], merged))
-                        out.append(merged)
-                        j += 2
-                        end = j
-                    else:
-                        if j == end:
-                            lost.append((b, x))
-                            gained.append((merged, x))
-                        out.append(x)
-                        j += 1
-                if end < 0:
-                    continue
-                new_w = tuple(out)
-            words[wi] = new_w
+            out = list(w[:j])
+            end = -1  # just past the last site
+            while j < n:
+                x = w[j]
+                if x == a and j + 1 < n and w[j + 1] == b:
+                    lost.append(best)
+                    if j:
+                        lost.append((w[j - 1], a))
+                        gained.append((out[-1], merged))
+                    out.append(merged)
+                    j += 2
+                    end = j
+                else:
+                    if j == end:
+                        lost.append((b, x))
+                        gained.append((merged, x))
+                    out.append(x)
+                    j += 1
+            if end < 0:
+                continue
+            words[wi] = tuple(out)
             f = freqs[wi]
-            # Only a word that already held the merged symbol can have held
-            # a gained pair; such a word is listed for it already.
-            held = set(zip(w, w[1:])) if merged in w else ()
             for pair in gained:  # before the losses, so no count dips to zero
                 pair_freq[pair] = pair_freq.get(pair, 0) + f
                 raised.add(pair)
-                if pair not in held:
-                    holders = pair_words.get(pair)
-                    if holders is None:
-                        pair_words[pair] = [wi]
-                    elif holders[-1] != wi:
-                        holders.append(wi)
+                holders = pair_words.get(pair)
+                if holders is None:
+                    pair_words[pair] = [wi]
+                elif holders[-1] != wi:
+                    holders.append(wi)
             for pair in lost:
                 left = pair_freq[pair] - f
                 if left:
@@ -341,20 +325,19 @@ def load_vocab(path: str) -> Vocab:
     """Read what `save_vocab` wrote; a malformed file raises InvalidCorpus
     naming `path:line`. Lines 1-4 must be the specials in id order, and no
     token line may hold a space or repeat an earlier one, so each token has
-    one id; the check keeps no table, so `id_of` is still built on first
-    use. The file is decoded whole; only a file that is not UTF-8 is read
-    again a line at a time, to name the line."""
+    one id; one loop checks and names each token line, and keeps no table
+    past it, so `id_of` is still built on first use. The file is read and
+    decoded whole, once; a byte that is not UTF-8 is named by its line and
+    its offset in that line, as `files.read_lines` names it."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         text = data.decode("utf-8")
-    except UnicodeDecodeError:
-        try:
-            for _ in files.read_lines(path):
-                pass
-        except ValueError as exc:
-            raise InvalidCorpus(str(exc)) from None
-        raise
+    except UnicodeDecodeError as exc:
+        head = data.rfind(b"\n", 0, exc.start) + 1  # where the bad byte's line starts
+        exc.object, exc.start, exc.end = data[head : exc.end], exc.start - head, exc.end - head
+        line = data.count(b"\n", 0, head) + 1
+        raise InvalidCorpus(str(files.line_error(path, line, exc))) from None
     del data
     # The lines `files.read_lines` would give, with their line ends stripped.
     lines = text.split("\n")
@@ -372,17 +355,13 @@ def load_vocab(path: str) -> Vocab:
         if n > sentinel or lines[n - 1] != special:
             raise InvalidCorpus(f"{path}:{n}: expected {special!r}, got {lines[n - 1]!r}")
     tokens = lines[:sentinel]
-    # Whole-table checks first; the loop only runs to name the first bad line.
-    if len(set(tokens)) < len(tokens) or " " in "".join(tokens):
-        seen: set[str] = set()
-        for n, tok in enumerate(tokens, 1):
-            if " " in tok:
-                raise InvalidCorpus(f"{path}:{n}: token line {tok!r} holds a space")
-            if tok in seen:
-                raise InvalidCorpus(
-                    f"{path}:{n}: token {tok!r} repeats line {tokens.index(tok) + 1}"
-                )
-            seen.add(tok)
+    seen: set[str] = set()
+    for n, tok in enumerate(tokens, 1):
+        if " " in tok:
+            raise InvalidCorpus(f"{path}:{n}: token line {tok!r} holds a space")
+        if tok in seen:
+            raise InvalidCorpus(f"{path}:{n}: token {tok!r} repeats line {tokens.index(tok) + 1}")
+        seen.add(tok)
     merge_lines = lines[sentinel + 1 :]
     for n, line in enumerate(merge_lines, sentinel + 2):
         if line and " " not in line:

@@ -1121,6 +1121,7 @@ def test_nq_record_takes_only_json_types_for_p_tag_and_spans(
 VOCAB_DEFECTS = {
     "merge_without_space": lambda lines: (len(lines) + 1, b"abc"),
     "not_utf8": lambda lines: (len(lines) + 1, b"a \xff"),
+    "not_utf8_token": lambda lines: (5, b"\xe2\x96a"),
     "special_replaced": lambda lines: (1, b"x"),
     "token_with_space": lambda lines: (5, "\u2581a b".encode()),
     "repeated_token": lambda lines: (6, lines[4]),
@@ -1342,3 +1343,46 @@ def test_negative_seed_exits_2_naming_it(mode, given, workspace, tmp_path, capsy
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", expected)
     assert sorted(p.name for p in tmp_path.rglob("*")) == before  # no output, run dir or .*.tmp
+
+
+# Each case: the command, the input file it rewrites (in command_argv's
+# directory, or the text corpus), that file's new content, and what the
+# message says after the file's name.
+EMPTY_OR_UNMATCHED_INPUTS = {
+    "empty corpus": ("build-vocab", "corpus.txt", "", ": corpus is empty"),
+    "blank corpus": ("build-vocab", "corpus.txt", "\n  \n\t\n", ": corpus contains no words"),
+    "no candidates": ("eval gen", "cands.jsonl", "\n", ": no candidate questions"),
+    "unmatched candidate": ("eval gen", "cands.jsonl",
+                            '{"id": "r1", "question_text": "what"}\n'
+                            '{"id": "zzz", "question_text": "what"}\n',
+                            ":2: candidate zzz has no reference question in "),
+    "unmatched question": ("eval qa", "questions.jsonl",
+                           '{"id": "zzz", "question_text": "the storm"}\n',
+                           ":1: question zzz has no context in "),
+    "short annotation set": ("eval correlate", "ann.jsonl",
+                             "".join(json.dumps({"article_id": "a", "annotator_id": f"ann{k}",
+                                                 "flags": dict.fromkeys(FLAG_NAMES, False)}) + "\n"
+                                     for k in range(2)),
+                             ": article a has 2 annotations, need exactly 3"),
+    "one scored article": ("eval correlate", "scores.csv",
+                           "id,s_ans,s_gra,model_tag\nhi,5.0,1.0,toy\n",
+                           ": need scored annotations for at least 2 articles"),
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_OR_UNMATCHED_INPUTS))
+def test_empty_or_unmatched_input_exits_2_naming_the_file(case, workspace, tmp_path, capsys):
+    command, name, content, message = EMPTY_OR_UNMATCHED_INPUTS[case]
+    if command == "build-vocab":
+        argv = ["build-vocab", "--kind", "text", "--input", str(tmp_path / name),
+                "--output", str(tmp_path / "v.txt")]
+    else:
+        argv, _ = command_argv(command, workspace, tmp_path)
+    (tmp_path / name).write_text(content, encoding="utf-8")
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {tmp_path / name}{message}")
+    assert "Traceback" not in err and out == ""
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before  # no output or .*.tmp

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from helpers import interrupt_writes, temp_files, zipf_corpus
-from sqgen import textproc
+from sqgen import files, textproc
 from sqgen.textproc import (
     BOS_ID,
     EOS_ID,
@@ -338,6 +339,32 @@ class TestSaveLoad:
         with pytest.raises(InvalidCorpus) as err:
             load_vocab(str(path))
         assert str(err.value) == f"{path}:{line}: {message}"
+
+    def test_non_utf8_byte_in_a_crlf_file_names_its_line(self, tiny_vocab, tmp_path):
+        path = tmp_path / "vocab.txt"
+        save_vocab(tiny_vocab, str(path))
+        lines = path.read_bytes().split(b"\n")
+        lines[6] = b"\xff" + lines[6]
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(InvalidCorpus, match=f"^{re.escape(str(path))}:7: "):
+            load_vocab(str(path))
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.binary(max_size=6), min_size=1, max_size=8),
+           ends=st.sampled_from([b"\n", b"\r\n"]))
+    def test_non_utf8_byte_is_named_as_read_lines_names_it(self, tmp_path, lines, ends):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes(ends.join(lines) + ends)
+        try:
+            list(files.read_lines(str(path)))
+        except ValueError as exc:
+            expected = str(exc)
+        else:
+            return  # the file is UTF-8
+        with pytest.raises(InvalidCorpus) as err:
+            load_vocab(str(path))
+        assert str(err.value) == expected
 
     def test_loaded_vocab_decodes_identically(self, tiny_vocab, tmp_path):
         path = tmp_path / "vocab.txt"
