@@ -6,8 +6,10 @@
 # split, and without the decoder LM stack) -> generate (beam, nucleus twice,
 # greedy, greedy from the no-LM model, and beam again through --config) ->
 # eval gen / eval qa / build-vocab from the nq and news records / eval
-# correlate, asserting exit codes and artifacts. The vocabulary is built a
-# second time from a CRLF copy of the corpus, which must give the same bytes.
+# correlate, asserting exit codes and artifacts. Malformed and mismatched
+# inputs must exit 2 naming their file, with no traceback and nothing
+# written. The vocabulary is built a second time from a CRLF copy of the
+# corpus, which must give the same bytes.
 # Run from a checkout, every manifest must name that checkout's version.
 # Finishes in well under a minute on a laptop.
 set -eu
@@ -393,6 +395,46 @@ grep -q '^error: bad_prepared.jsonl:2: example neg: ' bad.err
 if grep -q Traceback bad.err; then echo "traceback for a negative context id"; exit 1; fi
 test ! -e gen_neg.jsonl
 test ! -e gen_neg.jsonl.manifest.json
+
+# Inputs that do not fit their partner fail naming the file, before any
+# output, manifest or run directory is made.
+{ head -n 10 vocab.txt; echo '#MERGES'; } > vocab_small.txt
+rc=0; sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
+    --vocab vocab_small.txt --output gen_small.jsonl 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a vocab of the wrong size, got $rc"; exit 1; }
+head -n 1 bad.err | grep -q \
+    '^error: vocab_small.txt: vocab of 10 does not match vocab_size=[0-9]* of checkpoint run/best.ckpt$'
+if grep -q Traceback bad.err; then echo "traceback for a vocab of the wrong size"; exit 1; fi
+test ! -e gen_small.jsonl
+test ! -e gen_small.jsonl.manifest.json
+
+python3 - <<'PY'
+import json
+rows = [json.loads(line) for line in open("prepared.jsonl", encoding="utf-8")]
+for path, rid, question in (("refs_big.jsonl", "big", [100000]),
+                            ("pad_prepared.jsonl", "pad", [5, 0, 6])):
+    bad = [dict(row) for row in rows]
+    bad[1].update(id=rid, question_ids=question)
+    with open(path, "w", encoding="utf-8") as f:
+        for row in bad:
+            f.write(json.dumps(row) + "\n")
+PY
+rc=0; sqgen eval gen --candidates cands.jsonl --references refs_big.jsonl \
+    --vocab vocab.txt --output big_report.json 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for a reference id beyond the vocab, got $rc"; exit 1; }
+head -n 1 bad.err | grep -q '^error: refs_big.jsonl: example big: question id 100000 outside '
+if grep -q Traceback bad.err; then echo "traceback for a reference id beyond the vocab"; exit 1; fi
+test ! -e big_report.json
+test ! -e big_report.json.manifest.json
+
+rc=0; sqgen train --data pad_prepared.jsonl --dev prepared.jsonl --vocab vocab.txt \
+    --out-dir run_pad --epochs 1 --d-model 16 --n-heads 2 --encoder-layers 1 \
+    --decoder-lm-layers 1 --cross-layers 1 --ffn-dim 32 --max-context 64 \
+    --max-question 16 2> bad.err || rc=$?
+[ "$rc" -eq 2 ] || { echo "expected exit 2 for PAD in a question, got $rc"; exit 1; }
+head -n 1 bad.err | grep -q '^error: pad_prepared.jsonl: example pad: PAD (id 0) in question$'
+if grep -q Traceback bad.err; then echo "traceback for PAD in a question"; exit 1; fi
+test ! -e run_pad
 leftover=$(find . -name '.*.tmp')
 [ -z "$leftover" ] || { echo "temporary files left: $leftover"; exit 1; }
 

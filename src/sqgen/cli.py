@@ -323,8 +323,8 @@ def cmd_generate(args: argparse.Namespace) -> Done:
     model = BertPgn.from_checkpoint(args.checkpoint)
     if model.config.vocab_size != len(vocab):
         raise ValueError(
-            f"vocab of {len(vocab)} does not match checkpoint "
-            f"vocab_size={model.config.vocab_size}"
+            f"{args.vocab}: vocab of {len(vocab)} does not match "
+            f"vocab_size={model.config.vocab_size} of checkpoint {args.checkpoint}"
         )
     examples = corpus.read_prepared(args.data)
     corpus.check_fits(examples, args.data, len(vocab), model.config.max_context)
@@ -379,7 +379,10 @@ def _eval_gen(args: argparse.Namespace) -> Done:
     vocab = textproc.load_vocab(args.vocab)
     refs_by_id: dict[str, list[list[str]]] = {}
     for ex in corpus.read_prepared(args.references):
-        text = textproc.decode(ex.question_ids, vocab)
+        try:
+            text = textproc.decode(ex.question_ids, vocab)
+        except textproc.InvalidTokenId as exc:
+            raise ValueError(f"{args.references}: example {ex.id}: question {exc}") from None
         if text:
             refs_by_id.setdefault(ex.id, []).append(genmetrics.tokenize(text))
 

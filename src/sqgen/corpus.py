@@ -355,8 +355,8 @@ def check_fits(
     """Raise a ValueError naming `path` and the example for the first example
     that holds a token id not below `vocab_size`, an empty context or one
     longer than `max_context`, or, when `max_question` is given (training
-    needs a question, generation does not), an empty question or one longer
-    than `max_question`."""
+    needs a question, generation does not), an empty question, one longer
+    than `max_question` or one holding PAD."""
     for ex in examples:
         top = max(ex.context_ids + ex.question_ids, default=0)
         if top >= vocab_size:
@@ -369,6 +369,8 @@ def check_fits(
             reason = "empty question"
         elif max_question is not None and len(ex.question_ids) > max_question:
             reason = f"question of {len(ex.question_ids)} exceeds max_question={max_question}"
+        elif max_question is not None and textproc.PAD_ID in ex.question_ids:
+            reason = f"PAD (id {textproc.PAD_ID}) in question"
         else:
             continue
         raise ValueError(f"{path}: example {ex.id}: {reason}")

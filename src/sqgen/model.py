@@ -19,11 +19,11 @@ real output token ids.
 
 Training and inference share one decoder function, `BertPgn._decoder`, which
 runs T new positions on top of the self-attention keys and values of the
-positions before them. Training runs the whole prefix with nothing before it.
-Inference runs only a prefix's last token, reusing the keys and values of the
-tokens before it cached on the `EncodedContext` (Shazeer 2019, arXiv
-1911.02150), and only that position pays for the output projection, the
-softmax and the pointer mixture.
+positions before them and ends in the pointer-generator output. Training runs
+the whole prefix with nothing before it. Inference runs only a prefix's last
+token on the keys and values of the tokens before it, cached on the
+`EncodedContext` one token at a time (Shazeer 2019, arXiv 1911.02150), so
+only that position pays for the output projection, softmax and mixture.
 """
 
 from __future__ import annotations
@@ -288,12 +288,14 @@ class BertPgn:
     def _decoder(self, ids: np.ndarray, enc: EncodedContext, past: list | None = None):
         """Run the decoder over new tokens `ids` (T,) that follow P earlier
         positions, whose self-attention (k, v) heads `past` holds for every
-        decoder layer in order (None when P = 0).
+        decoder layer in order (None when P = 0), and end in the
+        pointer-generator output.
 
-        Returns, for the new positions, the LM stack's output y, the final
-        cross block's attention output a_c and output o, its attention
-        averaged over heads (the copy distribution, (T, L)), and every
-        layer's (k, v) heads over all P + T positions.
+        Returns, for the new positions, the final distribution (T, V), p_gen
+        (T,) (None without the pointer), the vocabulary distribution (T, V),
+        the copy distribution (the final cross block's attention averaged
+        over heads, (T, L)), and every layer's (k, v) heads over all P + T
+        positions.
         """
         t = ids.size
         p0 = 0 if past is None else past[0][0].shape[1]
@@ -323,62 +325,52 @@ class BertPgn:
             a_c = nm.layer_norm(c + a_s, p("ln2.g"), p("ln2.b"))
             f = _ffn(self.params, f"{pre}.ffn", a_c)
             x = nm.layer_norm(f + a_c, p("ln3.g"), p("ln3.b"))
-        return y, a_c, x, nm.mean(attn, axis=0), present
-
-    def _mixture(self, y, a_c, o, copy, context_ids):
-        """Pointer-generator output for rows of decoder states: the final
-        distribution, p_gen (None without the pointer) and the vocabulary
-        distribution."""
+        copy = nm.mean(attn, axis=0)
         vocab_dist = nm.softmax(
-            nm.linear(o, self.params["out.w"], self.params["out.b"]), axis=-1
+            nm.linear(x, self.params["out.w"], self.params["out.b"]), axis=-1
         )
         if not self.config.use_pointer:
-            return vocab_dist, None, vocab_dist
+            return vocab_dist, None, vocab_dist, copy, present
         p_gen = self.generation_gate(y, a_c)
-        return pointer_mixture(p_gen, vocab_dist, copy, context_ids), p_gen, vocab_dist
+        final = pointer_mixture(p_gen, vocab_dist, copy, enc.context_ids)
+        return final, p_gen, vocab_dist, copy, present
 
     def sequence_distributions(self, prefix_ids, enc: EncodedContext) -> Tensor:
         """Mixture distribution at every prefix position, in-graph (T,V)."""
-        y, a_c, o, copy, _ = self._decoder(np.asarray(prefix_ids, dtype=np.intp), enc)
-        return self._mixture(y, a_c, o, copy, enc.context_ids)[0]
+        return self._decoder(np.asarray(prefix_ids, dtype=np.intp), enc)[0]
 
     def decode_step(self, prefix_ids, enc: EncodedContext) -> DecoderStepOutput:
         """One inference step: distributions for the position after the prefix.
 
-        Only the prefix's last token runs through the decoder. The keys and
-        values of the tokens before it come from `enc.self_kv`; a prefix
-        missing there is run through the same decoder function first. The
-        cache then holds this prefix and drops those neither as long as it
-        nor one shorter, so every prefix of one beam step, decoded one call
-        each, still finds its parent.
+        Only the prefix's last token runs through the decoder, on the keys
+        and values of its parent (the prefix without its last token) from
+        `enc.self_kv`, which then holds this prefix and drops those neither as
+        long as it nor one shorter: every prefix of one beam step finds its
+        parent there. A missing parent's missing ancestors are decoded first,
+        shortest first, one call each, so the cache is only filled one token
+        at a time and a step's bytes do not depend on what it held. Each such
+        call also pays the output projection and the mixture, and its pruning
+        may drop the caller's other prefixes of this length, to decode again.
         """
         ids = np.asarray(prefix_ids, dtype=np.intp)
         self._check_prefix_length(ids.size)
+        t, key = ids.size, tuple(ids.tolist())
+        cached = t - 1  # length of the longest cached ancestor, 0 for none
+        while cached > 0 and key[:cached] not in enc.self_kv:
+            cached -= 1
+        for n in range(cached + 1, t):
+            self.decode_step(ids[:n], enc)
         with nm.no_grad():
-            past = self._cached_past(ids[:-1], enc)
-            y, a_c, o, copy, present = self._decoder(ids[-1:], enc, past)
-            final, p_gen, vocab_dist = self._mixture(y, a_c, o, copy, enc.context_ids)
-        t = ids.size
+            past = enc.self_kv[key[:-1]] if t > 1 else None
+            final, p_gen, vocab_dist, copy, present = self._decoder(ids[-1:], enc, past)
         enc.self_kv = {k: kv for k, kv in enc.self_kv.items() if t - 1 <= len(k) <= t}
-        enc.self_kv[tuple(ids.tolist())] = [(k.data, v.data) for k, v in present]
+        enc.self_kv[key] = [(k.data, v.data) for k, v in present]
         return DecoderStepOutput(
             p_gen=1.0 if p_gen is None else float(p_gen.data[0]),
             vocab_dist=vocab_dist.data[0],
             copy_attn=copy.data[0],
             final_dist=final.data[0],
         )
-
-    def _cached_past(self, ids: np.ndarray, enc: EncodedContext) -> list | None:
-        """Every decoder layer's (k, v) heads over the tokens `ids`, from
-        `enc.self_kv` or, on a miss, from the decoder; None when `ids` is
-        empty."""
-        if ids.size == 0:
-            return None
-        key = tuple(ids.tolist())
-        if key not in enc.self_kv:
-            *_, present = self._decoder(ids, enc)
-            enc.self_kv[key] = [(k.data, v.data) for k, v in present]
-        return enc.self_kv[key]
 
     def generation_gate(self, y: Tensor, a_c: Tensor) -> Tensor:
         """p_gen = logistic(w . [y; a_c] + b) for each row of y and a_c:

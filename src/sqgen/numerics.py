@@ -365,24 +365,22 @@ def getitem(a, key) -> Tensor:
     return Tensor._make(a.data[key], (a,), backward)
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
     a = _as_tensor(a)
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
+    out_data = a.data.sum(axis=axis)
 
     def backward(g):
         if a.requires_grad:
-            gg = g
-            if not keepdims and axis is not None:
-                gg = np.expand_dims(gg, axis)
+            gg = g if axis is None else np.expand_dims(g, axis)
             a._accumulate(np.broadcast_to(gg, a.data.shape))
 
     return Tensor._make(out_data, (a,), backward)
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    return mul(sum_(a, axis=axis), 1.0 / n)
 
 
 # -- linear algebra ----------------------------------------------------------
@@ -461,13 +459,13 @@ def softmax(a, axis: int = -1) -> Tensor:
     return Tensor._make(out_data, (a,), backward)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-12) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale+shift."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered**2).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-12)
     xhat = centered * inv_std
     out_data = xhat * gain.data + bias.data
 

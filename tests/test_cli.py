@@ -18,7 +18,7 @@ from sqgen.corpus import read_prepared, split_dataset
 from sqgen.decoding import greedy
 from sqgen.model import BertPgn, save_checkpoint
 from sqgen.qaeval import FLAG_NAMES
-from sqgen.textproc import decode, load_vocab
+from sqgen.textproc import MERGE_SENTINEL, decode, load_vocab
 
 CORPUS_LINES = [
     "what is the capital of france",
@@ -1386,3 +1386,62 @@ def test_empty_or_unmatched_input_exits_2_naming_the_file(case, workspace, tmp_p
     assert err.startswith(f"error: {tmp_path / name}{message}")
     assert "Traceback" not in err and out == ""
     assert sorted(p.name for p in tmp_path.rglob("*")) == before  # no output or .*.tmp
+
+
+def rewrite_prepared(ws, path, **fields):
+    """The workspace's prepared rows, the second renamed bad_row and given
+    `fields`, written to `path`; returns `path` as a string."""
+    rows = [json.loads(line) for line in read_lines(ws["prepared"])]
+    write_jsonl(path, [rows[0], dict(rows[1], id="bad_row", **fields), *rows[2:]])
+    return str(path)
+
+
+def vocab_cut_to(ws, path, n_tokens):
+    """The workspace's vocabulary cut to its first `n_tokens` tokens and no
+    merges, written to `path`; returns `path` as a string."""
+    tokens = read_lines(ws["vocab"])[:n_tokens]
+    path.write_text("\n".join(tokens + [MERGE_SENTINEL]) + "\n", encoding="utf-8")
+    return str(path)
+
+
+# Each case: the command, the flag whose file the case swaps in, a function
+# of (workspace, directory) that writes that file and returns its path, and
+# what the message's first line names after the path ({checkpoint} is the
+# workspace's checkpoint).
+MISFIT_INPUTS = {
+    "vocab size mismatch": (
+        "generate", "--vocab", lambda ws, t: vocab_cut_to(ws, t / "small_vocab.txt", 10),
+        "vocab of 10 does not match vocab_size=120 of checkpoint {checkpoint}",
+    ),
+    "reference id beyond vocab": (
+        "eval gen", "--references",
+        lambda ws, t: rewrite_prepared(ws, t / "refs.jsonl",
+                                       question_ids=[len(load_vocab(ws["vocab"])) + 7]),
+        "example bad_row: question id ",
+    ),
+    "PAD in question": (
+        "train", "--data",
+        lambda ws, t: rewrite_prepared(ws, t / "pad.jsonl", question_ids=[5, 0, 6]),
+        "example bad_row: PAD (id 0) in question",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(MISFIT_INPUTS))
+def test_input_that_does_not_fit_its_partner_exits_2_naming_the_file(
+    case, workspace, tmp_path, capsys
+):
+    command, flag, write, named = MISFIT_INPUTS[case]
+    argv, _ = command_argv(command, workspace, tmp_path)
+    path = write(workspace, tmp_path)
+    argv[argv.index(flag) + 1] = path
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    first = err.splitlines()[0]
+    assert first.startswith(f"error: {path}: ")
+    assert named.format(checkpoint=workspace["checkpoint"]) in first
+    assert "Traceback" not in err and out == ""
+    # no output, manifest, .*.tmp or --out-dir
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before

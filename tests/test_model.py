@@ -225,6 +225,46 @@ class TestIncrementalDecoding:
         missed = m.decode_step([2, 9, 11], fresh).final_dist
         assert np.max(np.abs(cached - missed)) <= 1e-12
 
+    def test_cache_miss_decodes_its_ancestors_one_token_at_a_time(self):
+        m = toy_model(seed=4)
+        enc = m.encode_context([5, 6, 7, 8], [0, 1, 1, 0])
+        decoder, new_tokens = m._decoder, []
+
+        def counting(ids, *args):
+            new_tokens.append(np.size(ids))
+            return decoder(ids, *args)
+
+        m._decoder = counting
+        m.decode_step([2, 9, 11, 5], enc)
+        assert new_tokens == [1, 1, 1, 1]
+        assert set(enc.self_kv) == {(2, 9, 11), (2, 9, 11, 5)}
+        new_tokens.clear()
+        m.decode_step([2, 9, 11, 6], enc)  # its parent is cached: no miss
+        assert new_tokens == [1]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"use_pointer": False}, {"decoder_lm_layers": 0}],
+        ids=["full", "no_pointer", "zero_lm_layers"],
+    )
+    def test_cache_miss_gives_the_bytes_of_step_by_step_decoding(self, overrides):
+        fields = ("final_dist", "vocab_dist", "copy_attn", "p_gen")
+        for seed in range(5):
+            m = toy_model(seed=seed, **overrides)
+            rng = np.random.default_rng(seed)
+            for length in range(1, TOY["max_question"] + 2):
+                n = int(rng.integers(3, TOY["max_context"] + 1))
+                context = (rng.integers(4, TOY["vocab_size"], size=n).tolist(),
+                           rng.integers(0, 2, size=n).tolist())
+                prefix = [2] + rng.integers(TOY["vocab_size"], size=length - 1).tolist()
+                enc = m.encode_context(*context)
+                for k in range(1, length + 1):
+                    stepped = m.decode_step(prefix[:k], enc)
+                missed = m.decode_step(prefix, m.encode_context(*context))
+                for name in fields:
+                    want = np.asarray(getattr(stepped, name)).tobytes()
+                    assert np.asarray(getattr(missed, name)).tobytes() == want, (seed, length, name)
+
 
 class TestGenerationGate:
     def test_zero_weights_give_half(self):
