@@ -4,7 +4,8 @@
 # Runs the whole pipeline on a tiny synthetic corpus in a scratch directory:
 # build-vocab -> prepare (nq + news) -> train (with a dev file, on a seeded
 # split, and without the decoder LM stack) -> generate (beam, nucleus twice,
-# greedy, greedy from the no-LM model, and beam again through --config) ->
+# greedy, greedy from the no-LM model, and beam again through --config; the
+# beam, nucleus and greedy rows must equal an in-process `cli.main` call's) ->
 # eval gen / eval qa / build-vocab from the nq and news records / eval
 # correlate, asserting exit codes and artifacts. Malformed and mismatched
 # inputs must exit 2 naming their file, with no traceback and nothing
@@ -117,6 +118,23 @@ sqgen generate --checkpoint run/best.ckpt --data prepared.jsonl \
 [ "$(wc -l < gen_beam.jsonl)" -eq 3 ]
 [ "$(wc -l < gen_nucleus.jsonl)" -eq 3 ]
 [ "$(wc -l < gen_greedy.jsonl)" -eq 3 ]
+
+echo "== generate through cli.main in this process writes the rows the command wrote"
+mkdir in_process
+python3 - <<'EOF'
+from sqgen import cli
+
+common = ["generate", "--checkpoint", "run/best.ckpt", "--data", "prepared.jsonl",
+          "--vocab", "vocab.txt", "--max-question", "8"]
+for mode, flags in (("beam", ["--beam", "2"]),
+                    ("nucleus", ["--top-p", "0.9", "--temperature", "1.0", "--seed", "7"]),
+                    ("greedy", [])):
+    out = f"in_process/gen_{mode}.jsonl"
+    assert cli.main(common + ["--output", out, "--mode", mode] + flags) == cli.EXIT_OK, mode
+    with open(out, "rb") as a, open(f"gen_{mode}.jsonl", "rb") as b:
+        assert a.read() == b.read(), mode
+EOF
+rm -r in_process
 
 echo "== train and generate the no-LM ablation (--decoder-lm-layers 0)"
 sqgen train --data prepared.jsonl --dev prepared.jsonl --vocab vocab.txt \

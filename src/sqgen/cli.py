@@ -24,12 +24,17 @@ Every command that succeeds drops a `<output>.manifest.json` recording the
 command line, inputs, outputs, seed, settings, wall time, peak memory and
 code version.
 Exit codes: 0 success, 2 input error, 3 numerical failure.
+
+`python -m sqgen.cli` and the `sqgen` script go through `run()`, which
+freezes the collector's objects after `main` so the interpreter's exit-time
+collections skip them; in-process callers use `main`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -720,5 +725,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
+def run() -> None:
+    """Exit the process with `main`'s code, skipping the exit-time collection."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

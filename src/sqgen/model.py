@@ -306,7 +306,7 @@ class BertPgn:
         y = nm.embedding(self.params["dec.word_emb"], ids) + nm.embedding(
             self.params["dec.pos_emb"], np.arange(p0, p0 + t)
         )
-        mask = nm.causal_mask(t, p0)
+        mask = nm.causal_mask(t, p0) if t > 1 else None  # one row's mask is all zeros
         for i in range(self.config.decoder_lm_layers):
             y, kv = _block(self.params, f"lm.b{i}", y, n_heads, mask, next(layer_past, None))
             present.append(kv)

@@ -6,11 +6,16 @@ and multi-head attention. Arrays are numpy float64 throughout and every
 reduction has a fixed order, so runs with the same seed are
 bit-reproducible.
 
-Two ops are fused nodes with a hand-written backward, each computing
-exactly the bytes of the composition it replaces: `linear` is
-`add(matmul(x, w), b)`, and `attention_weights` is
-`softmax(qh @ khᵀ · (1/√dh) + mask)`. The fused attention node keeps only
-its softmax output for backward, not the score arrays before it.
+Four ops are fused nodes with a hand-written backward, each computing
+exactly the bytes of the composition it replaces, forward and in every
+input's gradient: `linear` is `add(matmul(x, w), b)`; `attention_weights` is
+`softmax(qh @ khᵀ · (1/√dh) + mask)`; `project_heads` is `linear`, a reshape
+and a transpose that split the heads; and `attend_out` is `attn @ vh`, a
+transpose and a reshape that merge the heads, and `linear`. The fused
+attention node keeps only its softmax output for backward, not the score
+arrays before it. Where the composition's inner node would have copied a
+gradient into its own layout (`_first_grad`), the fused backward makes the
+same copy, so its parents get the same arrays.
 
 Gradients flow through a recorded graph: each op closes over its inputs and
 appends local gradients to them when `backward` walks the graph in reverse
@@ -102,15 +107,11 @@ class Tensor:
         the same memory order and sums the same bits; any other g is copied
         into that layout. `own` says the caller made g for this node alone,
         so a sum goes into g itself rather than a third array."""
-        fits = g.flags.writeable and g.strides == self.data.strides and self.data.flags.c_contiguous
-        if self.grad is not None:
-            out = g if own and fits else np.empty_like(self.data)
-            self.grad = np.add(self.grad, g, out=out)
-        elif fits:
-            self.grad = g
+        if self.grad is None:
+            self.grad = _first_grad(self.data, g)
         else:
-            self.grad = np.zeros_like(self.data)
-            self.grad += g
+            out = g if own and _fits(self.data, g) else np.empty_like(self.data)
+            self.grad = np.add(self.grad, g, out=out)
 
     def backward(self) -> None:
         """Fill .grad on every leaf reachable from this scalar, consuming the
@@ -177,6 +178,22 @@ class Tensor:
 
 def _consumed(g: np.ndarray) -> None:
     raise InvalidLoss("graph already consumed by backward")
+
+
+def _fits(data: np.ndarray, g: np.ndarray) -> bool:
+    """g is writable and laid out like a fresh zeros_like(data)."""
+    return g.flags.writeable and g.strides == data.strides and data.flags.c_contiguous
+
+
+def _first_grad(data: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The .grad that `_accumulate` gives a node holding `data` that has none
+    yet: g itself when it fits, else 0.0 + g in an array laid out like data
+    (the bytes of zeros_like(data) += g, which turn -0.0 into +0.0). A fused
+    node calls it for each inner node of the composition it replaces, so its
+    parents get the composition's arrays."""
+    if _fits(data, g):
+        return g
+    return np.add(0.0, g, out=np.empty_like(data))
 
 
 def _as_tensor(x) -> Tensor:
@@ -416,12 +433,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         if x.requires_grad:
             x._accumulate(_unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
-        if w.requires_grad:
-            w._accumulate(_unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape), own=True)
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        _weight_grads(x.data, w, b, g)
 
     return Tensor._make(out_data, (x, w, b), backward)
+
+
+def _weight_grads(x: np.ndarray, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Give w and b what `linear(x, w, b)` hands them for its output gradient g."""
+    if w.requires_grad:
+        w._accumulate(_unbroadcast(x.swapaxes(-1, -2) @ g, w.data.shape), own=True)
+    if b.requires_grad:
+        b._accumulate(_unbroadcast(g, b.data.shape))
 
 
 def _softmax_into(x: np.ndarray, axis: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -460,11 +482,13 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 def layer_norm(x, gain, bias) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale+shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale+shift.
+    Row means are `ndarray.mean`'s sum and division without its dispatch."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    n = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / n
     centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(centered**2, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + 1e-12)
     xhat = centered * inv_std
     out_data = xhat * gain.data + bias.data
@@ -476,8 +500,8 @@ def layer_norm(x, gain, bias) -> Tensor:
             bias._accumulate(g.reshape(-1, x.data.shape[-1]).sum(axis=0))
         if x.requires_grad:
             gx_hat = g * gain.data
-            m1 = gx_hat.mean(axis=-1, keepdims=True)
-            m2 = (gx_hat * xhat).mean(axis=-1, keepdims=True)
+            m1 = np.add.reduce(gx_hat, axis=-1, keepdims=True) / n
+            m2 = np.add.reduce(gx_hat * xhat, axis=-1, keepdims=True) / n
             x._accumulate(inv_std * (gx_hat - m1 - xhat * m2))
 
     return Tensor._make(out_data, (x, gain, bias), backward)
@@ -543,13 +567,52 @@ def attention_weights(qh, kh, mask: np.ndarray | None = None) -> Tensor:
     return Tensor._make(out_data, (qh, kh), backward)
 
 
-def project_heads(x: Tensor, w: Tensor, b: Tensor, n_heads: int) -> Tensor:
+def project_heads(x, w, b, n_heads: int) -> Tensor:
     """Project x (T, d) with w, b and split the result into heads,
-    (n_heads, T, d // n_heads)."""
+    (n_heads, T, d // n_heads), as one node with the bytes of
+    `transpose(reshape(linear(x, w, b), (T, n_heads, dh)), (1, 0, 2))`,
+    forward and in the gradients of x, w and b."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     t, d = x.data.shape
     if d % n_heads != 0:
         raise ConfigError(f"d_model={d} not divisible by n_heads={n_heads}")
-    return transpose(reshape(linear(x, w, b), (t, n_heads, d // n_heads)), (1, 0, 2))
+    flat = x.data @ w.data
+    flat += b.data
+    split = flat.reshape(t, n_heads, d // n_heads)
+
+    def backward(g):
+        g_flat = _first_grad(flat, _first_grad(split, g.transpose(1, 0, 2)).reshape(t, d))
+        if x.requires_grad:
+            x._accumulate(g_flat @ w.data.swapaxes(-1, -2))
+        _weight_grads(x.data, w, b, g_flat)
+
+    return Tensor._make(split.transpose(1, 0, 2), (x, w, b), backward)
+
+
+def attend_out(attn, vh, wo, bo) -> Tensor:
+    """The attention output attn @ vh of H heads, (H, Tq, Tk) @ (H, Tk, dh),
+    merged back to (Tq, H·dh) and projected through wo, bo, as one node with
+    the bytes of `linear(reshape(transpose(matmul(attn, vh), (1, 0, 2)),
+    (Tq, H·dh)), wo, bo)`, forward and in every input's gradient."""
+    attn, vh, wo, bo = _as_tensor(attn), _as_tensor(vh), _as_tensor(wo), _as_tensor(bo)
+    heads = attn.data @ vh.data
+    rows = heads.transpose(1, 0, 2)
+    merged = rows.reshape(rows.shape[0], -1)
+    out_data = merged @ wo.data
+    out_data += bo.data
+
+    def backward(g):
+        if attn.requires_grad or vh.requires_grad:
+            g_merged = _first_grad(merged, g @ wo.data.swapaxes(-1, -2))
+            g_rows = _first_grad(rows, g_merged.reshape(rows.shape))
+            g_heads = _first_grad(heads, g_rows.transpose(1, 0, 2))
+            if attn.requires_grad:
+                attn._accumulate(g_heads @ vh.data.swapaxes(-1, -2))
+            if vh.requires_grad:
+                vh._accumulate(attn.data.swapaxes(-1, -2) @ g_heads)
+        _weight_grads(merged, wo, bo, g)
+
+    return Tensor._make(out_data, (attn, vh, wo, bo), backward)
 
 
 def attend(
@@ -567,11 +630,8 @@ def attend(
     attention weights (H, Tq, Tk), which stay in the graph (the copy path
     trains through them).
     """
-    h, tq, dh = qh.data.shape
-    attn = attention_weights(qh, kh, mask)  # (H,Tq,Tk)
-    ctx = matmul(attn, vh)  # (H,Tq,dh)
-    merged = reshape(transpose(ctx, (1, 0, 2)), (tq, h * dh))
-    return linear(merged, wo, bo), attn
+    attn = attention_weights(qh, kh, mask)
+    return attend_out(attn, vh, wo, bo), attn
 
 
 def causal_mask(t: int, past: int = 0) -> np.ndarray:

@@ -285,6 +285,23 @@ def composed_linear(x, w, b):
     return nm.add(nm.matmul(x, w), b)
 
 
+def composed_project_heads(x, w, b, n_heads: int):
+    """x projected and split into heads as the three ops the fused
+    `project_heads` node replaces: linear, reshape, transpose."""
+    t, d = x.shape
+    flat = nm.linear(x, w, b)
+    return nm.transpose(nm.reshape(flat, (t, n_heads, d // n_heads)), (1, 0, 2))
+
+
+def composed_attend_out(attn, vh, wo, bo):
+    """The heads' attention output merged and projected as the four ops the
+    fused `attend_out` node replaces: matmul, transpose, reshape, linear."""
+    h, tq, _ = attn.shape
+    heads = nm.matmul(attn, vh)
+    merged = nm.reshape(nm.transpose(heads, (1, 0, 2)), (tq, h * vh.shape[-1]))
+    return nm.linear(merged, wo, bo)
+
+
 def composed_gelu(x: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """tanh-form GELU of x and its input gradient for the output gradient g,
     each as one out-of-place NumPy expression, the cube as two multiplies."""

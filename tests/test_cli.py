@@ -7,6 +7,7 @@ import math
 import os
 import re
 import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -622,6 +623,55 @@ def test_malformed_checkpoint_manifest_exits_2_naming_the_file(
     assert err.startswith(f"error: {ckpt}: ")
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
+
+
+class TestEntryPoint:
+    """`python -m sqgen.cli` and the installed `sqgen` script go through
+    `cli.run()`, which exits with `main`'s code after freezing the
+    collector: a process writes what an in-process `main` writes."""
+
+    @staticmethod
+    def process(argv, cwd):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "sqgen.cli", *argv], cwd=cwd, capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": path}, timeout=300,
+        )
+
+    @staticmethod
+    def generate_argv(workspace, data, output):
+        return ["generate", "--checkpoint", workspace["checkpoint"], "--data", data,
+                "--vocab", workspace["vocab"], "--output", output, "--max-question", "8",
+                "--mode", "beam", "--beam", "2"]
+
+    def test_generate_as_a_process_writes_the_rows_main_writes(self, workspace, tmp_path):
+        by_process, in_process = str(tmp_path / "process.jsonl"), str(tmp_path / "main.jsonl")
+        done = self.process(self.generate_argv(workspace, workspace["prepared"], by_process),
+                            tmp_path)
+        assert done.returncode == cli.EXIT_OK, done.stderr
+        assert cli.main(self.generate_argv(workspace, workspace["prepared"], in_process)) == 0
+        with open(by_process, "rb") as a, open(in_process, "rb") as b:
+            assert a.read() == b.read()
+        manifest = json.loads(open(by_process + ".manifest.json", encoding="utf-8").read())
+        assert manifest["command"] == "generate"
+        assert manifest["outputs"] == [by_process]
+
+    def test_an_input_error_exits_2_naming_the_file(self, workspace, tmp_path):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("not json\n", encoding="utf-8")
+        output = str(tmp_path / "gen.jsonl")
+        done = self.process(self.generate_argv(workspace, str(bad), output), tmp_path)
+        assert done.returncode == cli.EXIT_INPUT
+        assert done.stderr.splitlines()[0].startswith(f"error: {bad}")
+        assert "Traceback" not in done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+    def test_the_installed_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+        with open(pyproject, "rb") as f:
+            assert tomllib.load(f)["project"]["scripts"]["sqgen"] == "sqgen.cli:run"
 
 
 class TestEvalGen:

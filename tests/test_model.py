@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from sqgen.model import (
     param_shapes,
     save_checkpoint,
 )
+from sqgen.numerics import Tensor
 
 
 class TestModelConfig:
@@ -154,6 +157,34 @@ class TestDecodeStep:
         assert full - no_ptr == {"gate.w", "gate.b"}
         assert full - no_type == {"enc.type_emb"}
         assert all(name.startswith("lm.") for name in full - no_lm)
+
+
+class TestNodeCensus:
+    """The graph nodes one cache-hit decode step builds, by the op that made
+    them: attention projects and merges heads in fused nodes, so no reshape,
+    transpose or matmul node is left in it."""
+
+    @pytest.mark.parametrize("layers, total", [(1, 52), (2, 85)])
+    def test_a_cache_hit_step(self, layers, total, monkeypatch):
+        m = toy_model(seed=0, decoder_lm_layers=layers, cross_layers=layers)
+        enc = m.encode_context([5, 6, 7, 8], [0, 1, 1, 0])
+        m.decode_step([2], enc)
+        m.decode_step([2, 9], enc)
+        census, make = Counter(), Tensor._make
+
+        def counting(data, parents, backward):
+            census[sys._getframe(1).f_code.co_name] += 1
+            return make(data, parents, backward)
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counting))
+        m.decode_step([2, 9, 11], enc)
+        assert sum(census.values()) == total
+        # q, k, v of each self-attention and q of each cross-attention
+        assert census["project_heads"] == 3 * layers + 4 * layers
+        assert census["attend_out"] == census["attention_weights"] == 3 * layers
+        assert census["linear"] == 2 * 2 * layers + 2  # FFNs, output, gate
+        assert census["transpose"] == census["matmul"] == 0
+        assert census["reshape"] == 3  # the gate's two and the mixture's one
 
 
 class TestIncrementalDecoding:

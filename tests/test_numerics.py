@@ -8,9 +8,11 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from oracles import (
+    composed_attend_out,
     composed_attention_weights,
     composed_gelu,
     composed_linear,
+    composed_project_heads,
     fd_entry,
     rel_err,
 )
@@ -229,8 +231,8 @@ class TestFusedNodes:
 
     def _heads(self, rng, t, split):
         """A leaf and a function building (H, t, dh) heads from it: split=True
-        makes the leaf rows (t, H, dh) and goes through a transpose, as
-        project_heads does."""
+        makes the leaf rows (t, H, dh) and goes through a transpose, so the
+        heads are a transposed view, laid out as project_heads' output is."""
         if split:
             leaf = param(rng, t, self.H, self.DH)
             return leaf, lambda: nm.transpose(leaf, (1, 0, 2))
@@ -308,6 +310,100 @@ class TestFusedNodes:
         qh = Tensor(np.full((1, 2, 2), np.nan))
         with pytest.raises(NumericalError, match="NaN"):
             nm.attention_weights(qh, Tensor(np.ones((1, 3, 2))))
+
+
+HEAD_NODES = {
+    "project_heads": (nm.project_heads, composed_project_heads),
+    "attend_out": (nm.attend_out, composed_attend_out),
+}
+
+
+class TestHeadNodes:
+    """project_heads and attend_out against the compositions they replace:
+    the same bytes forward and in every input's gradient, whatever the layout
+    and signs of the gradient they are handed and whoever else reads it, and
+    gradients that agree with finite differences."""
+
+    @staticmethod
+    def _case(node, rng, t, heads, dh, tk):
+        """The node's leaves and a function applying one of its two forms
+        (fused or composed) to them."""
+        d = heads * dh
+        if node == "project_heads":
+            leaves = [param(rng, t, d), param(rng, d, d), param(rng, d)]
+            return leaves, lambda op: op(*leaves, heads)
+        leaves = [param(rng, heads, t, tk), param(rng, heads, tk, dh), param(rng, d, d),
+                  param(rng, d)]
+        return leaves, lambda op: op(*leaves)
+
+    @staticmethod
+    def _gradient(rng, shape, layout, neg_zero):
+        """An output gradient of `shape` laid out as `layout` says, with each
+        drawn entry -0.0 at rate neg_zero: C order, the reversed shape's
+        strides transposed back, read-only, or one row broadcast."""
+        drawn = {"reversed": shape[::-1], "broadcast": shape[-1:]}.get(layout, shape)
+        g = rng.standard_normal(drawn)
+        g[rng.random(drawn) < neg_zero] = -0.0
+        if layout == "reversed":
+            return g.transpose()
+        if layout == "broadcast":
+            return np.broadcast_to(g, shape)
+        if layout == "read_only":
+            g.setflags(write=False)
+        return g
+
+    @staticmethod
+    def _backward(out, g, consumers):
+        """Backward from a probe that hands g as it is to `consumers` of out:
+        out alone, out and another leaf through one add (which hands both the
+        same array), or out twice (which sums two gradients into it). Returns
+        the other leaf's gradient, or None."""
+        other = Tensor(np.zeros(out.shape), requires_grad=True)
+        top = {"alone": out, "shared": out + other, "twice": out + out}[consumers]
+
+        def hand(_):
+            top.grad = g
+
+        Tensor._make(np.zeros(()), (top,), hand).backward()
+        return other.grad
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        node=st.sampled_from(sorted(HEAD_NODES)),
+        sizes=st.tuples(*[st.integers(1, 4)] * 4),
+        layout=st.sampled_from(["c", "reversed", "read_only", "broadcast"]),
+        neg_zero=st.sampled_from([0.0, 0.5, 1.0]),
+        consumers=st.sampled_from(["alone", "shared", "twice"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bytes_equal_the_composition(self, node, sizes, layout, neg_zero, consumers, seed):
+        results = []
+        for op in HEAD_NODES[node]:
+            rng = np.random.default_rng(seed)
+            leaves, apply = self._case(node, rng, *sizes)
+            out = apply(op)
+            g = self._gradient(rng, out.shape, layout, neg_zero)
+            kept = g.copy()
+            other = self._backward(out, g, consumers)
+            assert g.tobytes() == kept.tobytes()  # g not written
+            if consumers == "shared":
+                assert np.array_equal(other, kept)  # a copy of g when g does not fit
+            results.append((out.data, [leaf.grad for leaf in leaves]))
+        (fused, fused_grads), (composed, composed_grads) = results
+        assert fused.strides == composed.strides
+        assert fused.tobytes() == composed.tobytes()
+        for got, want in zip(fused_grads, composed_grads):
+            assert got.strides == want.strides
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("node", sorted(HEAD_NODES))
+    def test_gradient(self, node):
+        rng = np.random.default_rng(42)
+        leaves, apply = self._case(node, rng, 3, 2, 2, 4)
+        fused = HEAD_NODES[node][0]
+        wts = rng.normal(size=apply(fused).shape)
+        build = lambda: nm.sum_(apply(fused) * Tensor(wts))
+        check_grads_by_fd(build, {f"x{i}": x for i, x in enumerate(leaves)}, rng, samples=8)
 
 
 class TestBackward:
