@@ -453,6 +453,26 @@ rc=0; sqgen train --data pad_prepared.jsonl --dev prepared.jsonl --vocab vocab.t
 head -n 1 bad.err | grep -q '^error: pad_prepared.jsonl: example pad: PAD (id 0) in question$'
 if grep -q Traceback bad.err; then echo "traceback for PAD in a question"; exit 1; fi
 test ! -e run_pad
+
+# An article too short to hold a span fails naming the contexts file and the
+# article: one that cleans to nothing, and one that encodes to one token.
+printf '%s\n' '{"id": "n1", "question_text": "the storm"}' > short_questions.jsonl
+for case in \
+    'empty context|{"id": "n1", "article": "@highlight the storm", "highlights": "x"}' \
+    'need >= 2 context positions, got 1|{"id": "n1", "article": "(CNN) -- the", "highlights": "x"}'
+do
+    message="${case%%|*}"
+    printf '%s\n' "${case#*|}" > short_news.jsonl
+    rc=0; sqgen eval qa --questions short_questions.jsonl --contexts short_news.jsonl \
+        --vocab vocab.txt --output-prefix qa_short > short.out 2> bad.err || rc=$?
+    [ "$rc" -eq 2 ] || { echo "expected exit 2 for a short context ($message), got $rc"; exit 1; }
+    head -n 1 bad.err | grep -qF "error: short_news.jsonl: article n1: $message" \
+        || { echo "wrong message for a short context: $(head -n 1 bad.err)"; exit 1; }
+    if grep -q Traceback bad.err; then echo "traceback for a short context ($message)"; exit 1; fi
+    test ! -s short.out
+    if ls qa_short* >/dev/null 2>&1; then echo "output written for a short context"; exit 1; fi
+done
+
 leftover=$(find . -name '.*.tmp')
 [ -z "$leftover" ] || { echo "temporary files left: $leftover"; exit 1; }
 

@@ -439,7 +439,11 @@ def _eval_qa(args: argparse.Namespace) -> Done:
     for rid, text in _question_rows(args.questions, contexts, "question",
                                     f"has no context in {args.contexts}"):
         q_ids = textproc.encode(text, vocab)
-        scores = qaeval.qa_score(scorer, q_ids, contexts[rid])
+        try:
+            scores = qaeval.qa_score(scorer, q_ids, contexts[rid])
+        except (qaeval.ContextTooShort, qaeval.ScorerError) as exc:
+            # the lexical scorer raises ScorerError only on an empty context
+            raise ValueError(f"{args.contexts}: article {rid}: {exc}") from None
         rows.append((rid, scores.answerability, scores.granularity))
 
     scatter_csv = args.output_prefix + "_scatter.csv"

@@ -109,8 +109,6 @@ def bleu(
 
 
 def _lcs_len(a: list[str], b: list[str]) -> int:
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         cur = [0] * (len(b) + 1)

@@ -200,8 +200,7 @@ def _self_attention(params, prefix: str, x: Tensor, n_heads: int, mask=None, pas
     if past is not None:
         k = nm.concat([past[0], k], axis=1)
         v = nm.concat([past[1], v], axis=1)
-    out, _ = nm.attend(q, k, v, p("wo"), p("bo"), mask)
-    return out, (k, v)
+    return nm.attend_out(nm.attention_weights(q, k, mask), v, p("wo"), p("bo")), (k, v)
 
 
 def _ffn(params: Mapping[str, Tensor], prefix: str, x: Tensor) -> Tensor:
@@ -321,7 +320,9 @@ class BertPgn:
             present.append(kv)
             a_s = nm.layer_norm(s + x, p("ln1.g"), p("ln1.b"))
             q = nm.project_heads(a_s, p("xattn.wq"), p("xattn.bq"), n_heads)
-            c, attn = nm.attend(q, *enc.cross_kv[i], p("xattn.wo"), p("xattn.bo"))
+            k, v = enc.cross_kv[i]
+            attn = nm.attention_weights(q, k)  # the copy distribution trains through it
+            c = nm.attend_out(attn, v, p("xattn.wo"), p("xattn.bo"))
             a_c = nm.layer_norm(c + a_s, p("ln2.g"), p("ln2.b"))
             f = _ffn(self.params, f"{pre}.ffn", a_c)
             x = nm.layer_norm(f + a_c, p("ln3.g"), p("ln3.b"))

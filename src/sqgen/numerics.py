@@ -1,21 +1,23 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Just enough substrate for an encoder-decoder transformer: elementwise
-arithmetic, matmul, softmax, layer norm, embedding lookup, gather/scatter,
-and multi-head attention. Arrays are numpy float64 throughout and every
-reduction has a fixed order, so runs with the same seed are
-bit-reproducible.
+Just the ops the encoder-decoder transformer and its training run:
+elementwise arithmetic, GELU, reshape and concat, getitem (which embedding
+lookup and per-row gather build on), sums, softmax, layer norm, a scatter
+onto the vocabulary, and four fused nodes for projection and multi-head
+attention. Arrays are numpy float64 throughout and every reduction has a
+fixed order, so runs with the same seed are bit-reproducible.
 
-Four ops are fused nodes with a hand-written backward, each computing
-exactly the bytes of the composition it replaces, forward and in every
-input's gradient: `linear` is `add(matmul(x, w), b)`; `attention_weights` is
-`softmax(qh @ khᵀ · (1/√dh) + mask)`; `project_heads` is `linear`, a reshape
-and a transpose that split the heads; and `attend_out` is `attn @ vh`, a
-transpose and a reshape that merge the heads, and `linear`. The fused
-attention node keeps only its softmax output for backward, not the score
-arrays before it. Where the composition's inner node would have copied a
-gradient into its own layout (`_first_grad`), the fused backward makes the
-same copy, so its parents get the same arrays.
+Each fused node has a hand-written backward and computes exactly the bytes
+of the composition it replaces, forward and in every input's gradient (the
+compositions, with the single-op nodes only they use, are in
+tests/oracles.py): `linear` is `add(matmul(x, w), b)`; `attention_weights`
+is `softmax(qh @ khᵀ · (1/√dh) + mask)`; `project_heads` is `linear`, a
+reshape and a transpose that split the heads; and `attend_out` is
+`attn @ vh`, a transpose and a reshape that merge the heads, and `linear`.
+The fused attention node keeps only its softmax output for backward, not
+the score arrays before it. Where the composition's inner node would have
+copied a gradient into its own layout (`_first_grad`), the fused backward
+makes the same copy, so its parents get the same arrays.
 
 Gradients flow through a recorded graph: each op closes over its inputs and
 appends local gradients to them when `backward` walks the graph in reverse
@@ -77,10 +79,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
     def item(self) -> float:
         return float(self.data)
@@ -151,9 +149,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
     def __sub__(self, other):
         return add(self, neg(other))
 
@@ -162,15 +157,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -334,18 +320,6 @@ def reshape(a, shape) -> Tensor:
     return Tensor._make(a.data.reshape(shape), (a,), backward)
 
 
-def transpose(a, axes) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inv))
-
-    return Tensor._make(a.data.transpose(axes), (a,), backward)
-
-
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     sizes = [t.data.shape[axis] for t in ts]
@@ -403,30 +377,11 @@ def mean(a, axis=None) -> Tensor:
 # -- linear algebra ----------------------------------------------------------
 
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ConfigError("matmul expects tensors with ndim >= 2")
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
-
-    return Tensor._make(out_data, (a, b), backward)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b as one node: the bias is added in place into the fresh
     matmul output, and backward gives x, w and b the arrays that
     `add(matmul(x, w), b)` would."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.ndim < 2 or w.ndim < 2:
-        raise ConfigError("matmul expects tensors with ndim >= 2")
     out_data = x.data @ w.data
     out_data += b.data
 
@@ -545,9 +500,9 @@ def scatter_to_vocab(weights: Tensor, ids, width: int) -> Tensor:
 def attention_weights(qh, kh, mask: np.ndarray | None = None) -> Tensor:
     """softmax(qh @ khᵀ · (1/√dh) + mask) over the last axis as one node, for
     head-split queries (H, Tq, dh) and keys (H, Tk, dh); `mask` is an
-    additive constant broadcastable to (Tq, Tk). The scores are scaled,
-    masked and normalized in place in the matmul output, and only the
-    softmax output is kept for backward."""
+    additive constant broadcastable to (Tq, Tk), whose -1e9 entries hide
+    keys from queries. The scores are scaled, masked and normalized in place
+    in the matmul output, and only the softmax output is kept for backward."""
     qh, kh = _as_tensor(qh), _as_tensor(kh)
     scale = np.asarray(1.0 / np.sqrt(qh.data.shape[-1]))
     out_data = qh.data @ kh.data.transpose(0, 2, 1)
@@ -613,25 +568,6 @@ def attend_out(attn, vh, wo, bo) -> Tensor:
         _weight_grads(merged, wo, bo, g)
 
     return Tensor._make(out_data, (attn, vh, wo, bo), backward)
-
-
-def attend(
-    qh: Tensor,
-    kh: Tensor,
-    vh: Tensor,
-    wo: Tensor,
-    bo: Tensor,
-    mask: np.ndarray | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Scaled dot-product attention over head-split queries (H, Tq, dh) and
-    keys/values (H, Tk, dh). `mask` is an additive constant broadcastable to
-    (Tq, Tk); hidden positions carry -1e9 so they vanish under softmax.
-    Returns the heads merged and projected through wo, bo (Tq, d) and the
-    attention weights (H, Tq, Tk), which stay in the graph (the copy path
-    trains through them).
-    """
-    attn = attention_weights(qh, kh, mask)
-    return attend_out(attn, vh, wo, bo), attn
 
 
 def causal_mask(t: int, past: int = 0) -> np.ndarray:

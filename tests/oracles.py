@@ -270,11 +270,42 @@ def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
 # -- composed autodiff ops ----------------------------------------------------------
 
 
+def transpose(a, axes):
+    """a with its axes permuted, as a graph node: the single op the fused
+    head nodes fold in."""
+    a = nm._as_tensor(a)
+    axes = tuple(axes)
+    inv = tuple(sorted(range(len(axes)), key=axes.__getitem__))
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.transpose(inv))
+
+    return nm.Tensor._make(a.data.transpose(axes), (a,), backward)
+
+
+def matmul(a, b):
+    """a @ b over the last two axes, as a graph node: the single op the
+    fused `linear` and attention nodes fold in."""
+    a, b = nm._as_tensor(a), nm._as_tensor(b)
+    out_data = a.data @ b.data
+
+    def backward(g):
+        if a.requires_grad:
+            ga = g @ b.data.swapaxes(-1, -2)
+            a._accumulate(nm._unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            gb = a.data.swapaxes(-1, -2) @ g
+            b._accumulate(nm._unbroadcast(gb, b.data.shape))
+
+    return nm.Tensor._make(out_data, (a, b), backward)
+
+
 def composed_attention_weights(qh, kh, mask=None):
     """The attention weights as the chain of single ops the fused
     `attention_weights` node replaces: transpose, matmul, scale, mask add,
     softmax."""
-    scores = nm.mul(nm.matmul(qh, nm.transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(qh.shape[-1]))
+    scores = nm.mul(matmul(qh, transpose(kh, (0, 2, 1))), 1.0 / np.sqrt(qh.shape[-1]))
     if mask is not None:
         scores = nm.add(scores, np.asarray(mask, dtype=np.float64))
     return nm.softmax(scores, axis=-1)
@@ -282,7 +313,7 @@ def composed_attention_weights(qh, kh, mask=None):
 
 def composed_linear(x, w, b):
     """x @ w + b as the two ops the fused `linear` node replaces."""
-    return nm.add(nm.matmul(x, w), b)
+    return nm.add(matmul(x, w), b)
 
 
 def composed_project_heads(x, w, b, n_heads: int):
@@ -290,15 +321,15 @@ def composed_project_heads(x, w, b, n_heads: int):
     `project_heads` node replaces: linear, reshape, transpose."""
     t, d = x.shape
     flat = nm.linear(x, w, b)
-    return nm.transpose(nm.reshape(flat, (t, n_heads, d // n_heads)), (1, 0, 2))
+    return transpose(nm.reshape(flat, (t, n_heads, d // n_heads)), (1, 0, 2))
 
 
 def composed_attend_out(attn, vh, wo, bo):
     """The heads' attention output merged and projected as the four ops the
     fused `attend_out` node replaces: matmul, transpose, reshape, linear."""
     h, tq, _ = attn.shape
-    heads = nm.matmul(attn, vh)
-    merged = nm.reshape(nm.transpose(heads, (1, 0, 2)), (tq, h * vh.shape[-1]))
+    heads = matmul(attn, vh)
+    merged = nm.reshape(transpose(heads, (1, 0, 2)), (tq, h * vh.shape[-1]))
     return nm.linear(merged, wo, bo)
 
 

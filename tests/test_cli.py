@@ -1409,6 +1409,12 @@ EMPTY_OR_UNMATCHED_INPUTS = {
     "unmatched question": ("eval qa", "questions.jsonl",
                            '{"id": "zzz", "question_text": "the storm"}\n',
                            ":1: question zzz has no context in "),
+    "empty context": ("eval qa", "news.jsonl",
+                      '{"id": "n1", "article": "@highlight the storm", "highlights": "x"}\n',
+                      ": article n1: empty context"),
+    "one-token context": ("eval qa", "news.jsonl",
+                          '{"id": "n1", "article": "(CNN) -- the", "highlights": "x"}\n',
+                          ": article n1: need >= 2 context positions, got 1"),
     "short annotation set": ("eval correlate", "ann.jsonl",
                              "".join(json.dumps({"article_id": "a", "annotator_id": f"ann{k}",
                                                  "flags": dict.fromkeys(FLAG_NAMES, False)}) + "\n"

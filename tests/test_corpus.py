@@ -207,6 +207,11 @@ class TestPrepareNews:
         out = prepare_news("PARIS (CNN) -- ", tiny_vocab, article_id="n")
         assert isinstance(out, Rejected) and out.reason == "empty"
 
+    def test_only_word_marks_after_cleaning_rejected(self, tiny_vocab):
+        # the cleaned text is not empty, but it encodes to no tokens
+        out = prepare_news("(CNN) -- ▁ ▁", tiny_vocab, article_id="n")
+        assert out == Rejected("n", "empty")
+
 
 class TestCheckFits:
     @staticmethod

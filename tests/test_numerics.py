@@ -15,6 +15,7 @@ from oracles import (
     composed_project_heads,
     fd_entry,
     rel_err,
+    transpose,
 )
 from sqgen import numerics as nm
 from sqgen.numerics import (
@@ -145,10 +146,8 @@ class TestAttention:
 
     def _run(self, q, k, v, p, n_heads, mask=None):
         heads = lambda x, w, b: nm.project_heads(x, p[w], p[b], n_heads)
-        return nm.attend(
-            heads(q, "wq", "bq"), heads(k, "wk", "bk"), heads(v, "wv", "bv"),
-            p["wo"], p["bo"], mask,
-        )
+        attn = nm.attention_weights(heads(q, "wq", "bq"), heads(k, "wk", "bk"), mask)
+        return nm.attend_out(attn, heads(v, "wv", "bv"), p["wo"], p["bo"]), attn
 
     def test_uniform_attention_when_queries_equal(self):
         rng = np.random.default_rng(42)
@@ -235,7 +234,7 @@ class TestFusedNodes:
         heads are a transposed view, laid out as project_heads' output is."""
         if split:
             leaf = param(rng, t, self.H, self.DH)
-            return leaf, lambda: nm.transpose(leaf, (1, 0, 2))
+            return leaf, lambda: transpose(leaf, (1, 0, 2))
         leaf = param(rng, self.H, t, self.DH)
         return leaf, lambda: leaf
 
@@ -430,6 +429,13 @@ class TestBackward:
 
         g = 2.0 * gradient(1.0, 0.0) + 3.0 * gradient(0.0, 1.0)
         assert_allclose(gradient(2.0, 3.0), g, rtol=1e-12)
+
+    @pytest.mark.parametrize("root", [np.nan, np.inf])
+    def test_non_finite_root_rejected(self, root):
+        x = Tensor([1.0], requires_grad=True)
+        with pytest.raises(NumericalError, match="not finite"):
+            nm.sum_(x * Tensor([root])).backward()
+        assert x.grad is None
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -650,7 +656,7 @@ class TestOpGradients:
         def build():
             c = nm.concat([a, b], axis=-1)  # (2, 6)
             r = nm.reshape(c, (3, 4))
-            t = nm.transpose(r, (0, 1))
+            t = transpose(r, (0, 1))
             return nm.sum_(t * Tensor(w))
 
         check_grads_by_fd(build, {"a": a, "b": b}, rng)

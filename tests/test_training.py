@@ -297,6 +297,20 @@ class TestTrain:
         with pytest.raises(TrainingDiverged):
             train(m, self._tiny_split(), TrainConfig(epochs=1, batch_size=2))
 
+    def test_non_finite_loss_detected(self):
+        # sigmoid and log pass a NaN gate through to the loss without raising
+        m = toy_model(seed=1)
+        m.params["gate.w"].data[:] = np.nan
+        with pytest.raises(TrainingDiverged, match="^non-finite loss at epoch 1$"):
+            train(m, self._tiny_split(), TrainConfig(epochs=1, batch_size=2))
+
+    def test_non_finite_dev_perplexity_detected(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(training, "perplexity", lambda model, examples: math.inf)
+        with pytest.raises(TrainingDiverged, match="^non-finite dev perplexity at epoch 1$"):
+            train(toy_model(seed=1), self._tiny_split(), TrainConfig(epochs=2),
+                  out_dir=str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     # With an output directory, best.ckpt is a byte copy of the best
     # epoch's file; no copy of the parameters is held while training.
 
