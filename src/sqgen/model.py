@@ -276,14 +276,6 @@ class BertPgn:
 
     # -- decoder ---------------------------------------------------------
 
-    def _check_prefix_length(self, t: int) -> None:
-        if t == 0:
-            raise ConfigError("decoder prefix must start with BOS")
-        if t > self.config.max_question + 1:
-            raise QuestionTooLong(
-                f"prefix of {t} exceeds max_question+1={self.config.max_question + 1}"
-            )
-
     def _decoder(self, ids: np.ndarray, enc: EncodedContext, past: list | None = None):
         """Run the decoder over new tokens `ids` (T,) that follow P earlier
         positions, whose self-attention (k, v) heads `past` holds for every
@@ -291,14 +283,19 @@ class BertPgn:
         pointer-generator output.
 
         Returns, for the new positions, the final distribution (T, V), p_gen
-        (T,) (None without the pointer), the vocabulary distribution (T, V),
+        (T, 1) (None without the pointer), the vocabulary distribution (T, V),
         the copy distribution (the final cross block's attention averaged
         over heads, (T, L)), and every layer's (k, v) heads over all P + T
         positions.
         """
         t = ids.size
         p0 = 0 if past is None else past[0][0].shape[1]
-        self._check_prefix_length(p0 + t)
+        if p0 + t == 0:
+            raise ConfigError("decoder prefix must start with BOS")
+        if p0 + t > self.config.max_question + 1:
+            raise QuestionTooLong(
+                f"prefix of {p0 + t} exceeds max_question+1={self.config.max_question + 1}"
+            )
         n_heads = self.config.n_heads
         layer_past = iter(past or [])
         present = []
@@ -347,27 +344,24 @@ class BertPgn:
         and values of its parent (the prefix without its last token) from
         `enc.self_kv`, which then holds this prefix and drops those neither as
         long as it nor one shorter: every prefix of one beam step finds its
-        parent there. A missing parent's missing ancestors are decoded first,
-        shortest first, one call each, so the cache is only filled one token
-        at a time and a step's bytes do not depend on what it held. Each such
-        call also pays the output projection and the mixture, and its pruning
-        may drop the caller's other prefixes of this length, to decode again.
+        parent there. When the parent is missing, the same loop first decodes
+        each missing ancestor, shortest first, one token each, so the cache is
+        only filled one token at a time and a step's bytes do not depend on
+        what it held.
         """
         ids = np.asarray(prefix_ids, dtype=np.intp)
-        self._check_prefix_length(ids.size)
         t, key = ids.size, tuple(ids.tolist())
-        cached = t - 1  # length of the longest cached ancestor, 0 for none
+        cached = t - 1  # longest cached ancestor's length: 0 for none, -1 for an empty prefix
         while cached > 0 and key[:cached] not in enc.self_kv:
             cached -= 1
-        for n in range(cached + 1, t):
-            self.decode_step(ids[:n], enc)
         with nm.no_grad():
-            past = enc.self_kv[key[:-1]] if t > 1 else None
-            final, p_gen, vocab_dist, copy, present = self._decoder(ids[-1:], enc, past)
+            for n in range(cached, t):  # token n, on the cached heads of key[:n]
+                past = enc.self_kv[key[:n]] if n > 0 else None
+                final, p_gen, vocab_dist, copy, present = self._decoder(ids[n:n + 1], enc, past)
+                enc.self_kv[key[:n + 1]] = [(k.data, v.data) for k, v in present]
         enc.self_kv = {k: kv for k, kv in enc.self_kv.items() if t - 1 <= len(k) <= t}
-        enc.self_kv[key] = [(k.data, v.data) for k, v in present]
         return DecoderStepOutput(
-            p_gen=1.0 if p_gen is None else float(p_gen.data[0]),
+            p_gen=1.0 if p_gen is None else float(p_gen.data[0, 0]),
             vocab_dist=vocab_dist.data[0],
             copy_attn=copy.data[0],
             final_dist=final.data[0],
@@ -375,11 +369,9 @@ class BertPgn:
 
     def generation_gate(self, y: Tensor, a_c: Tensor) -> Tensor:
         """p_gen = logistic(w . [y; a_c] + b) for each row of y and a_c:
-        (T, d) rows give (T,), (d,) vectors a scalar tensor."""
+        (T, d) rows give (T, 1)."""
         gate_in = nm.concat([y, a_c], axis=-1)
-        rows = nm.reshape(gate_in, (-1, 2 * self.config.d_model))
-        z = nm.linear(rows, self.params["gate.w"], self.params["gate.b"])
-        return nm.reshape(nm.sigmoid(z), gate_in.shape[:-1])
+        return nm.sigmoid(nm.linear(gate_in, self.params["gate.w"], self.params["gate.b"]))
 
     def next_distributions(self, enc: EncodedContext, prefixes) -> np.ndarray:
         """`decode_step`'s final distribution for each prefix, (B, V)."""
@@ -403,11 +395,11 @@ def pointer_mixture(
 ) -> Tensor:
     """The pointer-generator output (See et al. 2017):
     p_gen * vocab_dist + (1 - p_gen) * copy_attn scattered onto the context's
-    token ids. p_gen has vocab_dist's shape without its last axis; copy_attn
-    has one weight per context position on that axis."""
-    g = nm.reshape(p_gen, p_gen.shape + (1,))
+    token ids. p_gen broadcasts against vocab_dist: (T, 1) for (T, V) rows,
+    or a scalar; copy_attn has one weight per context position on the last
+    axis."""
     copy_vocab = nm.scatter_to_vocab(copy_attn, context_ids, vocab_dist.shape[-1])
-    return g * vocab_dist + (1.0 - g) * copy_vocab
+    return p_gen * vocab_dist + (1.0 - p_gen) * copy_vocab
 
 
 def output_distribution(step: DecoderStepOutput, context_ids) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Just the ops the encoder-decoder transformer and its training run:
-elementwise arithmetic, GELU, reshape and concat, getitem (which embedding
+elementwise arithmetic, GELU, concat, getitem (which embedding
 lookup and per-row gather build on), sums, softmax, layer norm, a scatter
 onto the vocabulary, and four fused nodes for projection and multi-head
 attention. Arrays are numpy float64 throughout and every reduction has a
@@ -307,17 +307,6 @@ def gelu(a) -> Tensor:
 
 
 # -- shape ops -------------------------------------------------------------
-
-
-def reshape(a, shape) -> Tensor:
-    a = _as_tensor(a)
-    old = a.data.shape
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(old))
-
-    return Tensor._make(a.data.reshape(shape), (a,), backward)
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:

@@ -284,6 +284,19 @@ def transpose(a, axes):
     return nm.Tensor._make(a.data.transpose(axes), (a,), backward)
 
 
+def reshape(a, shape):
+    """a in a new shape, as a graph node: the single op the fused head nodes
+    fold in."""
+    a = nm._as_tensor(a)
+    old = a.data.shape
+
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g.reshape(old))
+
+    return nm.Tensor._make(a.data.reshape(shape), (a,), backward)
+
+
 def matmul(a, b):
     """a @ b over the last two axes, as a graph node: the single op the
     fused `linear` and attention nodes fold in."""
@@ -321,7 +334,7 @@ def composed_project_heads(x, w, b, n_heads: int):
     `project_heads` node replaces: linear, reshape, transpose."""
     t, d = x.shape
     flat = nm.linear(x, w, b)
-    return transpose(nm.reshape(flat, (t, n_heads, d // n_heads)), (1, 0, 2))
+    return transpose(reshape(flat, (t, n_heads, d // n_heads)), (1, 0, 2))
 
 
 def composed_attend_out(attn, vh, wo, bo):
@@ -329,7 +342,7 @@ def composed_attend_out(attn, vh, wo, bo):
     fused `attend_out` node replaces: matmul, transpose, reshape, linear."""
     h, tq, _ = attn.shape
     heads = matmul(attn, vh)
-    merged = nm.reshape(transpose(heads, (1, 0, 2)), (tq, h * vh.shape[-1]))
+    merged = reshape(transpose(heads, (1, 0, 2)), (tq, h * vh.shape[-1]))
     return nm.linear(merged, wo, bo)
 
 

@@ -148,6 +148,15 @@ class TestBuildVocab:
         manifest = json.loads((tmp_path / "vocab.txt.manifest.json").read_text(encoding="utf-8"))
         assert manifest["git"] == done.stdout.strip()
 
+    def test_manifest_git_is_unknown_when_git_cannot_start(self, tmp_path, monkeypatch):
+        (tmp_path / "corpus.txt").write_text("\n".join(CORPUS_LINES) + "\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("PATH", str(tmp_path))  # holds no git to start
+        argv = ["build-vocab", "--input", "corpus.txt", "--output", "vocab.txt", "--size", "60"]
+        assert cli.main(argv) == 0
+        manifest = json.loads((tmp_path / "vocab.txt.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["git"] == "unknown"
+
     def test_missing_input_exits_2(self, tmp_path):
         rc = cli.main(
             ["build-vocab", "--input", str(tmp_path / "nope.txt"),
@@ -1330,7 +1339,8 @@ def test_option_strings_of_each_subcommand_are_pinned():
 @pytest.mark.parametrize("command,key,value", [
     (command, key, value)
     for command, key in settings_taken()
-    for value in ("3", True, None) + ((1.5,) if cli.SETTINGS[key] is int else ())
+    for value in ("3", True, None)
+    + ((1.5, math.inf, math.nan) if cli.SETTINGS[key] is int else ())
 ])
 def test_config_value_of_the_wrong_kind_exits_2_naming_file_and_key(
     command, key, value, workspace, tmp_path, capsys

@@ -50,6 +50,16 @@ class TestModelConfig:
         with pytest.raises(ConfigError):
             ModelConfig(**{**TOY, "cross_layers": 0})
 
+    @pytest.mark.parametrize("name", ["encoder_layers", "decoder_lm_layers"])
+    def test_layer_counts_must_not_be_negative(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be >= 0$"):
+            ModelConfig(**{**TOY, name: -1})
+
+    @pytest.mark.parametrize("name", ["max_context", "max_question"])
+    def test_lengths_must_be_positive(self, name):
+        with pytest.raises(ConfigError, match="^max_context and max_question must be >= 1$"):
+            ModelConfig(**{**TOY, name: 0})
+
     def test_vocab_must_hold_specials(self):
         with pytest.raises(ConfigError):
             ModelConfig(**{**TOY, "vocab_size": 4})
@@ -161,10 +171,11 @@ class TestDecodeStep:
 
 class TestNodeCensus:
     """The graph nodes one cache-hit decode step builds, by the op that made
-    them: attention projects and merges heads in fused nodes, so no reshape,
-    transpose or matmul node is left in it."""
+    them: attention projects and merges heads in fused nodes, and the gate's
+    (T, 1) output broadcasts in the mixture, so no reshape, transpose or
+    matmul node is left in it."""
 
-    @pytest.mark.parametrize("layers, total", [(1, 52), (2, 85)])
+    @pytest.mark.parametrize("layers, total", [(1, 49), (2, 82)])
     def test_a_cache_hit_step(self, layers, total, monkeypatch):
         m = toy_model(seed=0, decoder_lm_layers=layers, cross_layers=layers)
         enc = m.encode_context([5, 6, 7, 8], [0, 1, 1, 0])
@@ -183,8 +194,7 @@ class TestNodeCensus:
         assert census["project_heads"] == 3 * layers + 4 * layers
         assert census["attend_out"] == census["attention_weights"] == 3 * layers
         assert census["linear"] == 2 * 2 * layers + 2  # FFNs, output, gate
-        assert census["transpose"] == census["matmul"] == 0
-        assert census["reshape"] == 3  # the gate's two and the mixture's one
+        assert census["transpose"] == census["matmul"] == census["reshape"] == 0
 
 
 class TestIncrementalDecoding:
@@ -273,6 +283,15 @@ class TestIncrementalDecoding:
         m.decode_step([2, 9, 11, 6], enc)  # its parent is cached: no miss
         assert new_tokens == [1]
 
+    def test_cache_miss_keeps_the_steps_other_prefixes(self):
+        m = toy_model(seed=4)
+        enc = m.encode_context([5, 6, 7, 8], [0, 1, 1, 0])
+        for prefix in ([2], [2, 9], [2, 7], [2, 9, 11]):
+            m.decode_step(prefix, enc)
+        m.decode_step([2, 5, 6], enc)  # neither (2, 5) nor (2,) is cached
+        assert (2, 9, 11) in enc.self_kv
+        assert set(enc.self_kv) == {(2, 9), (2, 7), (2, 5), (2, 9, 11), (2, 5, 6)}
+
     @pytest.mark.parametrize(
         "overrides",
         [{}, {"use_pointer": False}, {"decoder_lm_layers": 0}],
@@ -302,8 +321,8 @@ class TestGenerationGate:
         m = toy_model()
         m.params["gate.w"].data[:] = 0.0
         m.params["gate.b"].data[:] = 0.0
-        d = TOY["d_model"]
-        p = m.generation_gate(nm.Tensor(np.ones(d)), nm.Tensor(np.ones(d))).item()
+        rows = nm.Tensor(np.ones((1, TOY["d_model"])))
+        p = m.generation_gate(rows, rows).data[0, 0]
         assert p == pytest.approx(0.5)
 
     def test_large_bias_saturates(self):
@@ -311,9 +330,10 @@ class TestGenerationGate:
         m.params["gate.w"].data[:] = 0.0
         d = TOY["d_model"]
         m.params["gate.b"].data[:] = 30.0
-        hi = m.generation_gate(nm.Tensor(np.zeros(d)), nm.Tensor(np.zeros(d))).item()
+        rows = nm.Tensor(np.zeros((1, d)))
+        hi = m.generation_gate(rows, rows).data[0, 0]
         m.params["gate.b"].data[:] = -30.0
-        lo = m.generation_gate(nm.Tensor(np.zeros(d)), nm.Tensor(np.zeros(d))).item()
+        lo = m.generation_gate(rows, rows).data[0, 0]
         assert hi == pytest.approx(1.0, abs=1e-12)
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert 0.0 < lo and hi < 1.0
@@ -454,6 +474,23 @@ class TestCheckpoints:
         cut = data.draw(st.integers(0, len(raw) - 1), label="cut")
         path.write_bytes(raw[:cut])
         with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("head", [b"\xff\xfe{}\n", b"not json\n"],
+                             ids=["not_utf8", "not_json"])
+    def test_unreadable_manifest_rejected_naming_the_file(self, tmp_path, head):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(head)
+        with pytest.raises(CheckpointError, match=f"^{path}: unreadable manifest$"):
+            load_checkpoint(str(path))
+
+    def test_manifest_arrays_must_be_a_list(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(str(path), ModelConfig(**TOY), {})
+        manifest = json.loads(path.read_bytes())
+        manifest["arrays"] = {}
+        path.write_bytes(json.dumps(manifest).encode() + b"\n")
+        with pytest.raises(CheckpointError, match=f"^{path}: manifest arrays is not a list$"):
             load_checkpoint(str(path))
 
     def test_unknown_config_key_rejected(self, tmp_path):

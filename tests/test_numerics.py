@@ -15,6 +15,7 @@ from oracles import (
     composed_project_heads,
     fd_entry,
     rel_err,
+    reshape,
     transpose,
 )
 from sqgen import numerics as nm
@@ -655,7 +656,7 @@ class TestOpGradients:
 
         def build():
             c = nm.concat([a, b], axis=-1)  # (2, 6)
-            r = nm.reshape(c, (3, 4))
+            r = reshape(c, (3, 4))
             t = transpose(r, (0, 1))
             return nm.sum_(t * Tensor(w))
 

@@ -340,6 +340,13 @@ class TestSaveLoad:
             load_vocab(str(path))
         assert str(err.value) == f"{path}:{line}: {message}"
 
+    def test_vocab_without_a_merges_section_rejected_naming_the_file(self, tiny_vocab, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(tiny_vocab.tokens) + "\n", encoding="utf-8")
+        with pytest.raises(InvalidCorpus) as err:
+            load_vocab(str(path))
+        assert str(err.value) == f"{path} has no #MERGES section"
+
     def test_non_utf8_byte_in_a_crlf_file_names_its_line(self, tiny_vocab, tmp_path):
         path = tmp_path / "vocab.txt"
         save_vocab(tiny_vocab, str(path))
