@@ -10,9 +10,10 @@ extra (no coverage package). Usage, from the repository root:
 Extra arguments go to pytest in place of the default `-q -p no:cacheprovider
 tests`. Tracing roughly doubles the suite's wall time.
 
-Code that the CLI tests run only in the subprocesses they start, such as
-`cli.run()` and the `if __name__ == "__main__":` block, is not traced and is
-listed as unreached.
+After the default full run the script is a gate: it exits 1 if a line that
+no test ran is not in `KNOWN`, which names each line that is expected to go
+unreached (by file and stripped source text) and why. A run with extra
+arguments only lists; a failing suite exits with pytest's status.
 """
 
 from __future__ import annotations
@@ -22,6 +23,19 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "sqgen")
+
+_SUBPROCESS = "runs only in the CLI tests' subprocesses, which are not traced"
+# (file in src/sqgen, stripped source line) -> why no traced test runs it.
+KNOWN = {
+    ("cli.py", "code = main()"): "cli.run() " + _SUBPROCESS,
+    ("cli.py", "gc.freeze()"): "cli.run() " + _SUBPROCESS,
+    ("cli.py", "sys.exit(code)"): "cli.run() " + _SUBPROCESS,
+    ("cli.py", "run()"): "the __main__ call " + _SUBPROCESS,
+    ("__init__.py", "return sorted(set(globals()) | set(__all__))"):
+        "sqgen.__dir__ is tested in a fresh interpreter, by "
+        "test_dir_lists_public_names_before_any_is_loaded",
+    ("qaeval.py", "import numpy as np"): "a TYPE_CHECKING import, for annotations only",
+}
 
 
 def executable_lines(path: str) -> set[int]:
@@ -61,7 +75,7 @@ def main(argv: list[str]) -> int:
         sys.settrace(None)
     ran = {(os.path.abspath(name), n) for name, n in ran}
 
-    total = missed = 0
+    total = missed = unknown = 0
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
             continue
@@ -73,12 +87,16 @@ def main(argv: list[str]) -> int:
         for n in sorted(lines):
             if (path, n) not in ran:
                 missed += 1
-                print(f"{os.path.relpath(path, ROOT)}:{n}: {source[n - 1].strip()}")
-    print(f"{missed} of {total} executable lines in src/sqgen never ran "
-          f"(pytest exit status {int(status)}).")
-    print("cli.run() and the __main__ block run only in subprocesses, "
-          "which are not traced.")
-    return int(status)
+                text = source[n - 1].strip()
+                reason = KNOWN.get((name, text))
+                unknown += reason is None
+                print(f"{os.path.relpath(path, ROOT)}:{n}: {text}"
+                      f"  [{'NOT KNOWN' if reason is None else 'known: ' + reason}]")
+    print(f"{missed} of {total} executable lines in src/sqgen never ran, "
+          f"{unknown} of them not known (pytest exit status {int(status)}).")
+    if status or argv:
+        return int(status)
+    return 1 if unknown else 0
 
 
 if __name__ == "__main__":

@@ -40,16 +40,13 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Container, Iterable, Iterator
+from dataclasses import asdict, dataclass, field
+from typing import Container, Iterable, Iterator
 
 # Pure-Python modules only: a command that needs `numerics`, `model`,
 # `training` or `decoding` (and so NumPy), `qaeval` or `genmetrics`, imports it
 # in its body.
 from . import corpus, files, textproc
-
-if TYPE_CHECKING:
-    from .model import ModelConfig
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -72,33 +69,6 @@ def _git_describe() -> str:
         return "unknown"
 
 
-def write_manifest(
-    output_path: str,
-    command: str,
-    argv: list[str],
-    inputs: list[str],
-    outputs: list[str],
-    seed: int | None,
-    settings: dict | None = None,
-    wall_seconds: float | None = None,
-    peak_rss_mb: float | None = None,
-) -> None:
-    manifest = {
-        "command": command,
-        "argv": argv,
-        "inputs": sorted(inputs),
-        "outputs": sorted(outputs),
-        "seed": seed,
-        "settings": settings or {},
-        "git": _git_describe(),
-        # `time`, not `datetime`, which no text command otherwise loads
-        "started_utc": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
-        "wall_seconds": wall_seconds,
-        "peak_rss_mb": peak_rss_mb,
-    }
-    files.write_json(output_path + ".manifest.json", manifest)
-
-
 @dataclass
 class Done:
     """What a command that succeeded hands `main` for its manifest."""
@@ -107,7 +77,26 @@ class Done:
     inputs: list[str]
     outputs: list[str]
     seed: int | None = None
-    settings: dict | None = None
+    settings: dict = field(default_factory=dict)
+
+
+def write_manifest(
+    done: Done, command: str, argv: list[str], wall_seconds: float, peak_rss_mb: float
+) -> None:
+    manifest = {
+        "command": command,
+        "argv": argv,
+        "inputs": sorted(done.inputs),
+        "outputs": sorted(done.outputs),
+        "seed": done.seed,
+        "settings": done.settings,
+        "git": _git_describe(),
+        # `time`, not `datetime`, which no text command otherwise loads
+        "started_utc": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
+        "wall_seconds": wall_seconds,
+        "peak_rss_mb": peak_rss_mb,
+    }
+    files.write_json(done.output_path + ".manifest.json", manifest)
 
 
 # -- shared plumbing -----------------------------------------------------------
@@ -266,25 +255,19 @@ def cmd_prepare(args: argparse.Namespace) -> Done:
     )
 
 
-def _model_config_from_args(args: argparse.Namespace, vocab_size: int) -> ModelConfig:
-    from .model import ModelConfig
+def cmd_train(args: argparse.Namespace) -> Done:
+    from . import training
+    from .model import BertPgn, ModelConfig
 
-    return ModelConfig(
+    cfg = training.TrainConfig(**_given(args, "lr", "batch_size", "epochs", "seed"))
+    vocab_size = len(textproc.load_vocab(args.vocab))  # only the size is kept
+    config = ModelConfig(
         vocab_size=vocab_size,
         **_given(args, "d_model", "n_heads", "encoder_layers", "decoder_lm_layers",
                  "cross_layers", "ffn_dim", "max_context", "max_question"),
         use_pointer=not args.no_pointer,
         use_type_ids=not args.no_type_ids,
     )
-
-
-def cmd_train(args: argparse.Namespace) -> Done:
-    from . import training
-    from .model import BertPgn
-
-    cfg = training.TrainConfig(**_given(args, "lr", "batch_size", "epochs", "seed"))
-    vocab_size = len(textproc.load_vocab(args.vocab))  # only the size is kept
-    config = _model_config_from_args(args, vocab_size=vocab_size)
     examples = corpus.read_prepared(args.data)
     if args.dev:
         split = corpus.DatasetSplit(train=examples, dev=corpus.read_prepared(args.dev))
@@ -519,22 +502,17 @@ def scatter_svg(
     xlabel: str,
     ylabel: str,
     title: str = "",
-    width: int = 640,
-    height: int = 480,
 ) -> None:
     """Write a self-contained static SVG scatter plot (no plotting library)."""
     import html  # here, not at module level: only `eval qa` draws a plot
 
     xlabel, ylabel, title = (html.escape(t, quote=False) for t in (xlabel, ylabel, title))
-    margin = 60
-    if points:
-        xs = [p[0] for p in points]
-        ys = [p[1] for p in points]
-        xmin, xmax = min(xs), max(xs)
-        ymin, ymax = min(ys), max(ys)
-    else:
-        xmin = ymin = -1.0
-        xmax = ymax = 1.0
+    width, height, margin = 640, 480, 60
+    # No points frame the origin, which the equal-range rule widens to -1..1.
+    xs = [p[0] for p in points] or [0.0]
+    ys = [p[1] for p in points] or [0.0]
+    xmin, xmax = min(xs), max(xs)
+    ymin, ymax = min(ys), max(ys)
     if xmax == xmin:
         xmin, xmax = xmin - 1.0, xmax + 1.0
     if ymax == ymin:
@@ -693,15 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-INPUT_ERRORS = (
-    ValueError,
-    KeyError,
-    OSError,
-)
-
-NUMERIC_ERRORS = (ArithmeticError,)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Check the `--config` file, run one command, and on success write its
     manifest, timed from the command's start, its own imports included, to
@@ -716,15 +685,14 @@ def main(argv: list[str] | None = None) -> int:
         import resource  # here, not at module level, where it raised build-vocab's peak
 
         write_manifest(
-            done.output_path, command, argv, done.inputs, done.outputs, done.seed,
-            done.settings, wall_seconds=time.monotonic() - t0,
+            done, command, argv, wall_seconds=time.monotonic() - t0,
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # KB on Linux
         )
         return EXIT_OK
-    except NUMERIC_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except INPUT_ERRORS as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import MAX_QUESTION_TOKENS
 from .textproc import BOS_ID, EOS_ID
 
 DEFAULT_BEAM = 3
@@ -79,7 +80,7 @@ def _walk(model, context, max_len: int, pick) -> Hypothesis:
     return hyp
 
 
-def greedy(model, context, max_len: int = 50) -> Hypothesis:
+def greedy(model, context, max_len: int = MAX_QUESTION_TOKENS) -> Hypothesis:
     """Follow the argmax token by token until EOS or the length cap."""
     check_settings(max_len=max_len)
     return _walk(model, context, max_len, _argmax_lowest)
@@ -89,7 +90,7 @@ def beam_search(
     model,
     context,
     beam: int = DEFAULT_BEAM,
-    max_len: int = 50,
+    max_len: int = MAX_QUESTION_TOKENS,
     length_normalize: bool = True,
 ) -> list[Hypothesis]:
     """Breadth-limited search; returns every kept hypothesis, best first.
@@ -179,7 +180,7 @@ def nucleus_sample(
     top_p: float = DEFAULT_TOP_P,
     temperature: float = DEFAULT_TEMPERATURE,
     seed: int = DEFAULT_SEED,
-    max_len: int = 50,
+    max_len: int = MAX_QUESTION_TOKENS,
 ) -> Hypothesis:
     """Seeded nucleus sampling; logprob records the model's own (unfiltered)
     probability of the sampled sequence."""

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import files
 from . import numerics as nm
+from .corpus import MAX_CONTEXT_TOKENS, MAX_QUESTION_TOKENS
 from .numerics import ConfigError, Tensor
 
 CHECKPOINT_FORMAT = "sqgen-checkpoint"
@@ -51,6 +52,9 @@ class ContextTooLong(ValueError):
 
 class QuestionTooLong(ValueError):
     """Decoder prefix exceeds the configured position table."""
+
+    def __init__(self, length: int, max_question: int) -> None:
+        super().__init__(f"prefix of {length} exceeds max_question+1={max_question + 1}")
 
 
 class CheckpointError(ValueError):
@@ -66,8 +70,8 @@ class ModelConfig:
     decoder_lm_layers: int = 2
     cross_layers: int = 2
     ffn_dim: int = 128
-    max_context: int = 500
-    max_question: int = 50
+    max_context: int = MAX_CONTEXT_TOKENS
+    max_question: int = MAX_QUESTION_TOKENS
     use_pointer: bool = True
     use_type_ids: bool = True
 
@@ -293,9 +297,7 @@ class BertPgn:
         if p0 + t == 0:
             raise ConfigError("decoder prefix must start with BOS")
         if p0 + t > self.config.max_question + 1:
-            raise QuestionTooLong(
-                f"prefix of {p0 + t} exceeds max_question+1={self.config.max_question + 1}"
-            )
+            raise QuestionTooLong(p0 + t, self.config.max_question)
         n_heads = self.config.n_heads
         layer_past = iter(past or [])
         present = []
@@ -347,10 +349,13 @@ class BertPgn:
         parent there. When the parent is missing, the same loop first decodes
         each missing ancestor, shortest first, one token each, so the cache is
         only filled one token at a time and a step's bytes do not depend on
-        what it held.
+        what it held. A prefix too long for the position table raises before
+        any pass, and leaves the cache as it was.
         """
         ids = np.asarray(prefix_ids, dtype=np.intp)
         t, key = ids.size, tuple(ids.tolist())
+        if t > self.config.max_question + 1:
+            raise QuestionTooLong(t, self.config.max_question)
         cached = t - 1  # longest cached ancestor's length: 0 for none, -1 for an empty prefix
         while cached > 0 and key[:cached] not in enc.self_kv:
             cached -= 1

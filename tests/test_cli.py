@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -908,6 +909,14 @@ class TestScatterSvg:
         content = open(path, encoding="utf-8").read()
         assert content.count("<circle") == 20
 
+    def test_empty_plot_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "empty.svg"
+        cli.scatter_svg(str(path), [], xlabel="answerability", ylabel="granularity",
+                        title="model")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9392f990a0d0456953f204f635e04bccfa088106066686b54e1656fee3118e7c"
+        )
+
     def test_markup_in_title_and_labels_is_escaped(self, tmp_path):
         path = str(tmp_path / "plot.svg")
         cli.scatter_svg(path, [(0.0, 1.0)], xlabel="x<1", ylabel="y&z", title="a<b&c")
@@ -978,6 +987,21 @@ def test_manifest_records_the_argv_given_and_the_wall_time(command, workspace, t
     assert manifest["argv"] == argv
     assert manifest["command"] == command
     assert manifest["wall_seconds"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["build-vocab", "prepare", "train", "generate", "eval gen", "eval qa", "eval correlate"],
+)
+def test_manifest_holds_exactly_the_ten_keys(command, workspace, tmp_path):
+    argv, output = command_argv(command, workspace, tmp_path)
+    assert cli.main(argv) == cli.EXIT_OK
+    manifest = json.loads(open(output + ".manifest.json", encoding="utf-8").read())
+    assert set(manifest) == {
+        "command", "argv", "inputs", "outputs", "seed", "settings", "git", "started_utc",
+        "wall_seconds", "peak_rss_mb",
+    }
+    assert isinstance(manifest["settings"], dict)
 
 
 def test_comma_in_ids_and_tag_round_trips_through_qa_and_correlate(workspace, tmp_path):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import sys
 from collections import Counter
 
@@ -144,6 +145,28 @@ class TestDecodeStep:
         enc = m.encode_context([5, 6], [1, 0])
         with pytest.raises(QuestionTooLong):
             m.decode_step([2] + [5] * (TOY["max_question"] + 1), enc)
+
+    def test_too_long_prefix_raises_before_any_pass_and_keeps_the_cache(self):
+        m = toy_model()
+        enc = m.encode_context([5, 6, 7], [0, 1, 0])
+        for prefix in ([2], [2, 9]):
+            m.decode_step(prefix, enc)
+        before = set(enc.self_kv)
+        decoder, calls = m._decoder, []
+
+        def counting(*args):
+            calls.append(args)
+            return decoder(*args)
+
+        m._decoder = counting
+        limit = TOY["max_question"] + 1
+        message = f"^prefix of {limit + 1} exceeds max_question\\+1={limit}$"
+        with pytest.raises(QuestionTooLong, match=message):
+            m.decode_step([2] + [5] * limit, enc)
+        assert calls == []
+        assert set(enc.self_kv) == before
+        with pytest.raises(QuestionTooLong, match=message):  # the training path's wording
+            m.sequence_distributions([2] + [5] * limit, enc)
 
     def test_empty_prefix_rejected(self):
         m = toy_model()
@@ -425,6 +448,21 @@ class TestCheckpoints:
         open(path, "wb").write(blob[:-16])
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_blob_that_shrinks_while_read_rejected(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.ckpt"
+        toy_model().save(str(path))
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        fstat = os.fstat
+
+        def fstat_of_the_full_file(fd):  # as if the file lost 8 bytes after fstat
+            st = fstat(fd)
+            return os.stat_result((*st[:6], size, *st[7:]))
+
+        monkeypatch.setattr(os, "fstat", fstat_of_the_full_file)
+        with pytest.raises(CheckpointError, match="truncated blob while reading$"):
+            load_checkpoint(str(path))
 
     def test_trailing_garbage_rejected(self, tmp_path):
         m = toy_model()

@@ -49,6 +49,13 @@ def check_grads_by_fd(build_loss, params, rng, samples=6, tol=1e-6, grads=None):
             assert rel_err(fd, g[idx]) < tol, (name, idx, fd, g[idx])
 
 
+def test_tensor_repr_names_its_shape_and_grad_flag():
+    assert repr(Tensor(np.zeros((2, 3)), requires_grad=True)) == (
+        "Tensor(shape=(2, 3), requires_grad=True)"
+    )
+    assert repr(Tensor(1.5)) == "Tensor(shape=(), requires_grad=False)"
+
+
 def test_sigmoid_bytes_match_the_three_exp_expression():
     rng = np.random.default_rng(0)
     edges = [0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 750.0, -750.0, np.inf, -np.inf]
