@@ -36,6 +36,7 @@ import argparse
 import csv
 import gc
 import json
+import math
 import os
 import subprocess
 import sys
@@ -326,8 +327,8 @@ def cmd_generate(args: argparse.Namespace) -> Done:
     top_p = _setting(args, "top_p", decoding.DEFAULT_TOP_P)
     temperature = _setting(args, "temperature", decoding.DEFAULT_TEMPERATURE)
     seed = _setting(args, "seed", decoding.DEFAULT_SEED)
-    used = {"beam": {"beam": beam}, "nucleus": {"top_p": top_p, "temperature": temperature}}
-    decoding.check_settings(max_len=max_len, **used.get(args.mode, {}))
+    # every setting goes into the manifest, so each is checked, used by this mode or not
+    decoding.check_settings(max_len=max_len, beam=beam, top_p=top_p, temperature=temperature)
 
     rows = []
     for ex in examples:
@@ -396,8 +397,7 @@ def _eval_gen(args: argparse.Namespace) -> Done:
     files.write_json(args.output, payload)
     if args.per_example:
         files.write_csv(args.per_example, ["id", "bleu1", "bleu4", "rouge_l", "meteor_lite"], (
-            [rid, bleu1 * 100.0, bleu4 * 100.0, rouge * 100.0, meteor * 100.0]
-            for rid, (bleu1, bleu4), (rouge, meteor) in zip(ids, report.each_bleu, report.each)
+            [rid, *(v * 100.0 for v in row)] for rid, row in zip(ids, report.each)
         ))
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return Done(
@@ -463,7 +463,9 @@ def _eval_correlate(args: argparse.Namespace) -> Done:
     try:
         for row in reader:
             try:
-                scores[row["id"]] = (float(row["s_ans"]), float(row["s_gra"]))
+                scores[row["id"]] = pair = (float(row["s_ans"]), float(row["s_gra"]))
+                if not all(map(math.isfinite, pair)):
+                    raise ValueError(f"s_ans and s_gra must be finite, got {pair}")
             except (KeyError, TypeError, ValueError) as exc:
                 raise files.line_error(args.scores, reader.line_num, exc) from exc
     except csv.Error as exc:  # an over-long field, say
@@ -591,7 +593,9 @@ def _add_settings(parser: argparse.ArgumentParser, *names: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="sqgen", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="sqgen", description="Generate questions from passages, and score them.",
+        epilog="exit codes: 0 success, 2 input error, 3 numerical failure")
     parser.add_argument("--config", help="JSON object of numeric settings; flags win")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -636,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("eval", help="score generations")
+    p = sub.add_parser("eval", help="score generations: gen, qa or correlate")
     esub = p.add_subparsers(dest="eval_kind", required=True)
 
     g = esub.add_parser("gen", help="overlap metrics against references")

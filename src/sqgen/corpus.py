@@ -191,10 +191,7 @@ def prepare_news(
     max_tokens: int = MAX_NEWS_TOKENS,
 ) -> PreparedExample | Rejected:
     """One long-answer example per article: whole text tagged, no question."""
-    cleaned = clean_article(article)
-    if not cleaned:
-        return Rejected(article_id, "empty")
-    context_ids = textproc.encode(cleaned, vocab)
+    context_ids = textproc.encode(clean_article(article), vocab)
     if not context_ids:
         return Rejected(article_id, "empty")
     if len(context_ids) > max_tokens:

@@ -18,6 +18,7 @@ Nucleus draws come from `Pcg64Stream`, which yields the draws of
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 
@@ -58,6 +59,8 @@ def check_settings(*, max_len=0, beam=1, top_p=1.0, temperature=0.0) -> None:
         raise InvalidDecodeConfig(f"top_p must be in (0,1], got {top_p}")
     if not temperature >= 0.0:  # NaN fails every comparison
         raise InvalidDecodeConfig(f"temperature must be >= 0, got {temperature}")
+    if temperature == math.inf:
+        raise InvalidDecodeConfig(f"temperature must be finite, got {temperature}")
 
 
 def _argmax_lowest(dist: np.ndarray) -> int:
@@ -133,12 +136,10 @@ def _top_candidates(scores: np.ndarray, k: int) -> np.ndarray:
     the pool is ascending, so a stable sort breaks ties by index. Beam search
     passes the flattened (B, V) scores, so an index is parent * V + token."""
     neg = -scores
-    if k < neg.size:
-        # Every candidate that can rank in the first k, ties at the cut included.
-        kth = np.partition(neg, k - 1)[k - 1]
-        pool = np.flatnonzero(neg <= kth)
-    else:
-        pool = np.arange(neg.size)
+    k = min(k, neg.size)
+    # Every candidate that can rank in the first k, ties at the cut included.
+    kth = np.partition(neg, k - 1)[k - 1]
+    pool = np.flatnonzero(neg <= kth)
     return pool[np.argsort(neg[pool], kind="stable")][:k]
 
 
@@ -159,11 +160,11 @@ def sample_step(
 
     # The likeliest sixteenth of V by (-p, id) is a prefix of the full order,
     # and np.cumsum adds in order, so its running mass is the full order's.
-    # A nucleus wider than that pool sorts all V.
+    # A nucleus wider than that pool orders all V.
     order = _top_candidates(p, max(1, p.size // 16))
     cum = np.cumsum(p[order])
     if cum[-1] < top_p:
-        order = np.argsort(-p, kind="stable")
+        order = _top_candidates(p, p.size)
         cum = np.cumsum(p[order])
     keep = min(int(np.searchsorted(cum, top_p)) + 1, order.size)
     kept = order[:keep]

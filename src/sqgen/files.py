@@ -7,14 +7,15 @@ is left as it was. The new file has a random name and is created
 exclusively, so no existing file is ever opened and a file left by a killed
 process never blocks a later write. No fsync: this rules out torn files,
 not loss on power failure. Text is UTF-8 with bare newlines; JSON is
-indented and key-sorted, JSONL one key-sorted object a line.
+indented and key-sorted, JSONL one key-sorted object a line, and a NaN or
+an infinity, which JSON cannot spell, fails the write.
 
 One reader and one writer: `read_lines` reads every text input a line at a
 time, and `replacing` writes every artifact. The vocabulary, read whole on
 every load, is the one exception: `textproc.load_vocab` decodes its bytes
 at once, and counts the line feeds before a byte that is not UTF-8 to name
 its line. `line_error` is the one place that names `path:line` for an input
-line that fails.
+line that fails. The model's `ConfigError` lives in `numerics`.
 """
 
 from __future__ import annotations
@@ -24,13 +25,6 @@ import csv
 import json
 import os
 from typing import IO, Iterable, Iterator
-
-
-class ConfigError(ValueError):
-    """Shape/head configuration is inconsistent.
-
-    Defined in this pure-Python module, and re-exported by `numerics`, so
-    that `qaeval` can raise it without importing NumPy."""
 
 
 @contextlib.contextmanager
@@ -72,14 +66,14 @@ def read_lines(path: str) -> Iterator[str]:
 
 def write_json(path: str, obj) -> None:
     with replacing(path) as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
 
 
 def write_jsonl(path: str, rows: Iterable[dict]) -> None:
     with replacing(path) as f:
         for row in rows:
-            f.write(json.dumps(row, sort_keys=True) + "\n")
+            f.write(json.dumps(row, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:

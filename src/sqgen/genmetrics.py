@@ -36,8 +36,8 @@ class MetricReport:
     rouge_l: float
     meteor_lite: float
     n_examples: int
-    each: list[tuple[float, float]] = field(default_factory=list)  # per example (rouge_l, meteor_lite)
-    each_bleu: list[tuple[float, float]] = field(default_factory=list)  # per example (bleu1, bleu4)
+    # per example (bleu1, bleu4, rouge_l, meteor_lite)
+    each: list[tuple[float, float, float, float]] = field(default_factory=list)
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
@@ -225,7 +225,7 @@ def meteor_lite(candidate: list[str], reference: list[str]) -> float:
     """
     ref_counts = Counter(reference)
     matches = sum(min(c, ref_counts[w]) for w, c in Counter(candidate).items())
-    if matches == 0 or not candidate or not reference:
+    if matches == 0:
         return 0.0
     p = matches / len(candidate)
     r = matches / len(reference)
@@ -243,16 +243,17 @@ def corpus_report(
     """BLEU at corpus level; ROUGE-L / METEOR-lite averaged per example with
     the best reference taken for each. Each example's n-grams are counted
     once: corpus BLEU-1/4 come from the summed counts, and each example's
-    BLEU-1/4 (`each_bleu`) from its own, so both equal what `bleu` gives."""
+    BLEU-1/4 (in `each`) from its own, so both equal what `bleu` gives."""
     _check_pairs(candidates, references)
-    each: list[tuple[float, float]] = []
+    each: list[tuple[float, float, float, float]] = []
     counts = []
     rouge_sum = meteor_sum = 0.0  # summed in order: sum() compensates from Python 3.12 on
     for cand, refs in zip(candidates, references):
-        each.append((rouge_l(cand, refs), max(meteor_lite(cand, ref) for ref in refs)))
-        rouge_sum += each[-1][0]
-        meteor_sum += each[-1][1]
         counts.append(_bleu_counts(cand, refs, 4))
+        each.append((_pooled_bleu(counts[-1:], 1), _pooled_bleu(counts[-1:], 4),
+                     rouge_l(cand, refs), max(meteor_lite(cand, ref) for ref in refs)))
+        rouge_sum += each[-1][2]
+        meteor_sum += each[-1][3]
     n = len(candidates)
     return MetricReport(
         bleu1=_pooled_bleu(counts, 1),
@@ -261,5 +262,4 @@ def corpus_report(
         meteor_lite=meteor_sum / n,
         n_examples=n,
         each=each,
-        each_bleu=[(_pooled_bleu([c], 1), _pooled_bleu([c], 4)) for c in counts],
     )

@@ -251,6 +251,7 @@ class BertPgn:
             )
         if np.any((types != 0) & (types != 1)):
             raise ConfigError("type_ids must be 0 or 1")
+        _check_ids(ids, self.config.vocab_size)
         e = nm.embedding(self.params["enc.word_emb"], ids) + nm.embedding(
             self.params["enc.pos_emb"], np.arange(ids.size)
         )
@@ -298,6 +299,7 @@ class BertPgn:
             raise ConfigError("decoder prefix must start with BOS")
         if p0 + t > self.config.max_question + 1:
             raise QuestionTooLong(p0 + t, self.config.max_question)
+        _check_ids(ids, self.config.vocab_size)
         n_heads = self.config.n_heads
         layer_past = iter(past or [])
         present = []
@@ -393,6 +395,13 @@ class BertPgn:
         _check_arrays(path, config, arrays)
         params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         return cls(config, params=params)
+
+
+def _check_ids(ids: np.ndarray, vocab_size: int) -> None:
+    """Name the first id outside [0, vocab_size): a lookup would wrap a negative one."""
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        bad = ids[(ids < 0) | (ids >= vocab_size)][0]
+        raise ConfigError(f"token id {bad} is outside the vocabulary of {vocab_size}")
 
 
 def pointer_mixture(

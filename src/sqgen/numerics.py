@@ -30,7 +30,8 @@ over backward calls until the caller clears it.
 
 A backward never writes into the `g` it is handed: one op may hand the same
 array to two parents (`add` does), so every closure builds its results in
-arrays of its own.
+arrays of its own. `ConfigError` (an inconsistent shape, head count or token
+id) is defined here, and `model` raises it too.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .files import ConfigError  # defined there so qaeval need not import NumPy
+
+class ConfigError(ValueError):
+    """Shape, head or token-id configuration is inconsistent."""
 
 
 class NumericalError(ArithmeticError):
@@ -150,10 +153,10 @@ class Tensor:
         return add(self, other)
 
     def __sub__(self, other):
-        return add(self, neg(other))
+        return add(self, mul(other, -1.0))
 
     def __rsub__(self, other):
-        return add(neg(self), other)
+        return add(mul(self, -1.0), other)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -210,16 +213,6 @@ def add(a, b) -> Tensor:
             b._accumulate(_unbroadcast(g, b.data.shape))
 
     return Tensor._make(out_data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = _as_tensor(a)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(-g)
-
-    return Tensor._make(-a.data, (a,), backward)
 
 
 def mul(a, b) -> Tensor:

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, Sequence
 
-from .files import ConfigError
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -80,7 +78,6 @@ class SpanResult:
 @dataclass
 class QaScores:
     span: SpanResult
-    p_answer: float
     p_no_answer: float
     answerability: float
     granularity: float
@@ -103,7 +100,7 @@ def best_span(p_start: Sequence[float], p_end: Sequence[float]) -> SpanResult:
     of the full row-major scan.
     """
     if len(p_end) != len(p_start):
-        raise ConfigError("p_start and p_end sizes differ")
+        raise ScorerError("p_start and p_end sizes differ")
     n = len(p_start) - 1
     if n < 2:
         raise ContextTooShort(f"need >= 2 context positions, got {n}")
@@ -122,7 +119,7 @@ def best_span(p_start: Sequence[float], p_end: Sequence[float]) -> SpanResult:
         elif ek < lo:
             lo = ek
     if i == 0:
-        raise ConfigError("no span product is a number")
+        raise ScorerError("no span product is a number")
     j = next(j for j in range(i + 1, n + 1) if s[i] * e[j] == top)
     return SpanResult(start=i, end=j, prob=s[i] * e[j])
 
@@ -166,7 +163,6 @@ def qa_score(scorer: QaScorer, question_ids: list[int], context_ids: list[int]) 
     p_no = no_answer_prob(out)
     return QaScores(
         span=span,
-        p_answer=span.prob,
         p_no_answer=p_no,
         answerability=answerability(span.prob, p_no),
         granularity=granularity(type_probs[1], type_probs[2]),

@@ -112,7 +112,7 @@ def nll_loss(model: BertPgn, example: PreparedExample) -> Tensor:
     enc = model.encode_context(example.context_ids, example.type_ids)
     dist = model.sequence_distributions(prefix, enc)
     gold = nm.take_per_row(dist, np.asarray(targets, dtype=np.intp))
-    return nm.neg(nm.mean(nm.log(gold)))
+    return nm.mul(nm.mean(nm.log(gold)), -1.0)
 
 
 def adam_step(

@@ -505,6 +505,25 @@ class TestGenerate:
         assert err == "error: temperature must be >= 0, got nan\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_infinite_temperature_exits_2_before_decoding(self, workspace, tmp_path, capsys):
+        out = tmp_path / "gen.jsonl"
+        assert self.generate(
+            workspace, str(out), "--mode", "nucleus", "--temperature", "inf"
+        ) == cli.EXIT_INPUT
+        assert capsys.readouterr().err == "error: temperature must be finite, got inf\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [
+        ("--mode", "beam", "--temperature", "nan"),
+        ("--mode", "greedy", "--temperature", "inf"),
+        ("--mode", "greedy", "--top-p", "nan"),
+        ("--mode", "nucleus", "--beam", "0"),
+    ])
+    def test_a_setting_the_mode_does_not_use_is_checked_too(self, workspace, tmp_path, flags):
+        # the manifest records every setting, and JSON has no NaN or infinity
+        assert self.generate(workspace, str(tmp_path / "gen.jsonl"), *flags) == cli.EXIT_INPUT
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("given", ["flag", "config"])
     def test_max_question_past_the_checkpoint_exits_2_before_encoding(
         self, workspace, tmp_path, capsys, monkeypatch, given
@@ -633,6 +652,17 @@ def test_malformed_checkpoint_manifest_exits_2_naming_the_file(
     assert err.startswith(f"error: {ckpt}: ")
     assert "Traceback" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["bad.ckpt"]
+
+
+def test_help_is_a_user_summary(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    for name in ("build-vocab", "prepare", "train", "generate", "eval", "gen", "qa",
+                 "correlate", "0 success", "2 input error", "3 numerical failure"):
+        assert name in out
+    assert "SETTINGS" not in out and "gc.freeze" not in out  # notes for readers of the code
 
 
 class TestEntryPoint:
@@ -875,6 +905,26 @@ class TestEvalCorrelate:
         ratios = json.loads(open(unanimity, encoding="utf-8").read())
         assert ratios["span"]["n_unanimous"] == 2
         assert ratios["span"]["true_pct"] == pytest.approx(50.0)
+
+    @pytest.mark.parametrize("bad", ["nan,1.0", "1.0,inf", "-inf,1.0"])
+    def test_a_score_that_is_not_finite_exits_2_naming_its_line(self, tmp_path, capsys, bad):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(
+            f"id,s_ans,s_gra,model_tag\nhi,5.0,1.0,toy\nlo,-5.0,-1.0,toy\nmid,{bad},toy\n",
+            encoding="utf-8",
+        )
+        annotations = str(tmp_path / "annotations.jsonl")
+        write_jsonl(annotations, [
+            {"article_id": article, "annotator_id": f"ann{k}",
+             "flags": dict.fromkeys(FLAG_NAMES, article == "hi")}
+            for article in ("hi", "lo", "mid") for k in range(3)
+        ])
+        rc = cli.main(["eval", "correlate", "--scores", str(scores), "--annotations",
+                       annotations, "--output", str(tmp_path / "corr.json")])
+        assert rc == cli.EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {scores}:4: s_ans and s_gra must be finite")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["annotations.jsonl", "scores.csv"]
 
     def test_too_few_scored_articles_exits_2(self, tmp_path):
         scores = tmp_path / "scores.csv"

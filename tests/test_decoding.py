@@ -301,6 +301,11 @@ class TestSettingsChecked:
     def test_defaults_are_in_range(self):
         decoding.check_settings()
 
+    def test_infinite_temperature_rejected(self):
+        # it would sample uniformly, and a manifest cannot record it as JSON
+        with pytest.raises(InvalidDecodeConfig, match="^temperature must be finite, got inf$"):
+            decoding.check_settings(temperature=math.inf)
+
 
 class TestSampleStepTieOrder:
     @settings(max_examples=300, deadline=None)

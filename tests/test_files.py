@@ -25,6 +25,17 @@ def test_writes_the_formats_every_artifact_shares(tmp_path):
     assert temp_files(tmp_path) == []
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_value_json_cannot_spell_fails_the_write(tmp_path, value):
+    for name, write, obj in (("a.json", files.write_json, {"x": [1.0, value]}),
+                             ("a.jsonl", files.write_jsonl, [{"x": 1.0}, {"x": value}])):
+        (tmp_path / name).write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write(str(tmp_path / name), obj)
+        assert (tmp_path / name).read_text(encoding="utf-8") == "kept\n"
+    assert temp_files(tmp_path) == []
+
+
 def test_new_file_mode_follows_the_umask(tmp_path):
     old = os.umask(0o027)
     try:

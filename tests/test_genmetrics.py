@@ -211,11 +211,11 @@ class TestCorpusReport:
         cands = [tokenize(c) for c, _ in METRIC_SUITE]
         refs = [[tokenize(r), tokenize(c)[::-1]] for c, r in METRIC_SUITE]
         report = corpus_report(cands, refs)
-        assert report.each == [
+        assert [row[2:] for row in report.each] == [
             (rouge_l(c, rs), max(meteor_lite(c, r) for r in rs)) for c, rs in zip(cands, refs)
         ]
         rouge_sum = meteor_sum = 0.0
-        for rouge, meteor in report.each:
+        for _, _, rouge, meteor in report.each:
             rouge_sum += rouge
             meteor_sum += meteor
         assert report.rouge_l == rouge_sum / len(cands)
@@ -232,7 +232,7 @@ class TestCorpusReport:
         report = corpus_report(cands, refs)
         assert report.bleu1 == bleu(cands, refs, max_n=1)
         assert report.bleu4 == bleu(cands, refs, max_n=4)
-        assert report.each_bleu == [
+        assert [row[:2] for row in report.each] == [
             (bleu([c], [rs], max_n=1), bleu([c], [rs], max_n=4)) for c, rs in zip(cands, refs)
         ]
 

@@ -102,6 +102,13 @@ class TestEmbedInputs:
         with pytest.raises(ConfigError):
             m.embed_inputs([5], [2])
 
+    @pytest.mark.parametrize("ids", [[-1, 5, 6], [5, 6, 25], [5, TOY["vocab_size"], -2]])
+    def test_id_outside_the_vocabulary_is_named(self, ids):
+        # -1 would otherwise embed the table's last row, and 25 raise a bare IndexError
+        bad = next(i for i in ids if not 0 <= i < TOY["vocab_size"])
+        with pytest.raises(ConfigError, match=f"^token id {bad} is outside the vocabulary"):
+            toy_model().encode_context(ids, [0, 1, 0])
+
 
 class TestEncode:
     def test_zero_layers_is_identity(self):
@@ -139,6 +146,15 @@ class TestDecodeStep:
         short = m.sequence_distributions([2, 5, 6], enc).data
         long = m.sequence_distributions([2, 5, 6, 7, 9], enc).data
         assert_allclose(long[:3], short, atol=1e-9)
+
+    @pytest.mark.parametrize("prefix", [[2, -1], [2, 5, TOY["vocab_size"]]])
+    def test_id_outside_the_vocabulary_is_named(self, prefix):
+        m = toy_model()
+        enc = m.encode_context([5, 6, 7], [0, 1, 0])
+        with pytest.raises(ConfigError, match=f"token id {prefix[-1]} is outside"):
+            m.decode_step(prefix, enc)
+        with pytest.raises(ConfigError, match=f"token id {prefix[-1]} is outside"):
+            m.sequence_distributions(prefix, enc)
 
     def test_prefix_length_cap(self):
         m = toy_model()

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from sqgen.numerics import ConfigError
 from sqgen.qaeval import (
     FLAG_NAMES,
     AnnotationRecord,
@@ -98,11 +97,11 @@ class TestBestSpan:
             best_span(np.array([0.5, 0.5]), np.array([0.5, 0.5]))
 
     def test_size_mismatch_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ScorerError):
             best_span(np.ones(4) / 4, np.ones(5) / 5)
 
     def test_no_comparable_product_rejected(self):
-        with pytest.raises(ConfigError, match="no span product"):
+        with pytest.raises(ScorerError, match="no span product"):
             best_span([0.5, math.nan, 0.5], [0.5, 0.25, 0.25])
 
 
@@ -218,7 +217,7 @@ class TestQaScore:
         scores = qa_score(UniformScorer(), [5, 6], [7, 8, 9, 10])
         assert scores.answerability == pytest.approx(0.0, abs=1e-12)
         assert scores.granularity == pytest.approx(0.0, abs=1e-12)
-        assert scores.p_answer == pytest.approx(scores.p_no_answer)
+        assert scores.span.prob == pytest.approx(scores.p_no_answer)
 
     def test_span_respects_bounds(self):
         scores = qa_score(UniformScorer(), [5], list(range(4, 14)))

@@ -15,7 +15,7 @@ from oracles import per_parameter_adam_step, summed_graph_step
 from sqgen import numerics as nm
 from sqgen import training
 from sqgen.corpus import DatasetSplit, PreparedExample
-from sqgen.model import save_checkpoint
+from sqgen.model import ConfigError, save_checkpoint
 from sqgen.training import (
     AdamState,
     InvalidDataset,
@@ -65,6 +65,12 @@ class TestNllLoss:
     def test_pad_in_target_rejected(self):
         with pytest.raises(InvalidTarget):
             nll_loss(toy_model(), example(question=(5, 0)))
+
+    @pytest.mark.parametrize("bad", [-3, TOY["vocab_size"]])
+    def test_question_id_outside_the_vocabulary_rejected(self, bad):
+        # -3 would otherwise train on row V - 3 of the embedding table
+        with pytest.raises(ConfigError, match=f"token id {bad} is outside the vocabulary"):
+            nll_loss(toy_model(), example(question=(bad,)))
 
 
 class TestPinnedGradients:
